@@ -244,31 +244,18 @@ class Rebuilder:
         most valuable data), offset-sorted within a benefit class so
         the DServer reads stream instead of seeking.
         """
-        spent = 0
-        # One total-order sort (the trailing _seq reproduces exactly
-        # what sorting pending_fetches()' (-benefit, _seq) output by
-        # the first three keys gave via stability).
-        pending = sorted(
-            self.cdt.pending_fetch_entries(),
-            key=lambda e: (-e.benefit, e.d_file, e.d_offset, e._seq),
-        )
+        # A snapshot: fetches clear C_flags (and foreground admissions
+        # move benefits) while the batches below run.
+        pending = self.cdt.pending_fetches(budget=budget)
 
         def fetch_and_clear(entry):
             done = yield from self._fetch_entry(entry)
             if done:
                 entry.c_flag = False
 
-        batch: list = []
-        for entry in pending:
-            if spent >= budget:
-                break
-            batch.append(entry)
-            spent += entry.length
-            if len(batch) >= self.parallelism:
-                yield from self._run_batch(fetch_and_clear, batch)
-                batch = []
-        if batch:
-            yield from self._run_batch(fetch_and_clear, batch)
+        step = self.parallelism
+        for i in range(0, len(pending), step):
+            yield from self._run_batch(fetch_and_clear, pending[i:i + step])
 
     def _fetch_entry(self, entry: CDTEntry):
         """Fetch the entry's unmapped segments; True if fully mapped."""

@@ -16,15 +16,17 @@ serialises concurrent metadata access as §III.D describes.
 Indexing note: both tables sit on the metadata hot path (every request
 consults them; the Rebuilder polls them every epoch), so the queries
 that used to be full-table scans are backed by incrementally-maintained
-indexes — a C_flag dict and a benefit min-heap on the CDT, a dirty-
-extent dict and running counters on the DMT.  All index orders are
-deterministic (admission / dirtying order), never hash-randomised:
+indexes — a sorted pending-fetch order and a benefit min-heap on the
+CDT, a dirty-extent dict and running counters on the DMT.  All index
+orders are deterministic (admission / dirtying order, or a total order
+ending in the admission sequence), never hash-randomised:
 iteration over these dicts is insertion-ordered by the language, and
 insertions happen in simulation order.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import heapq
 import itertools
@@ -80,16 +82,21 @@ class CDT:
     Entries are keyed by the exact (file, offset, length) triple —
     repeated request patterns (the common HPC case the paper leans on)
     hit the same entries.  A per-file index answers per-file scans, a
-    C_flag dict answers the Rebuilder's "what should I fetch" poll, and
-    a lazily-invalidated benefit min-heap picks eviction victims; none
-    of these require scanning the whole table.
+    sorted fetch order of the C_flag entries answers the Rebuilder's
+    "what should I fetch" poll, and a lazily-invalidated benefit
+    min-heap picks eviction victims; none of these require scanning or
+    sorting the whole table.
     """
 
     def __init__(self, capacity_entries: int | None = None):
         self._entries: dict[tuple[str, int, int], CDTEntry] = {}
         self._by_file: dict[str, dict[tuple[str, int, int], CDTEntry]] = {}
-        #: Entries whose C_flag is set, keyed like ``_entries``.
-        self._pending: dict[tuple[str, int, int], CDTEntry] = {}
+        #: Fetch order of the entries whose C_flag is set: sorted
+        #: ``(-benefit, d_file, d_offset, _seq, entry)`` rows.  ``_seq``
+        #: is unique, so comparisons never reach ``entry``.
+        self._fetch_order: list[tuple] = []
+        #: The same rows keyed like ``_entries`` (O(log n) removal).
+        self._pending: dict[tuple[str, int, int], tuple] = {}
         #: Eviction heap of ``(benefit, admit_seq, key)`` records.
         #: Records go stale when an entry's benefit changes or the
         #: entry is evicted; they are validated lazily on pop.
@@ -144,16 +151,29 @@ class CDT:
     def _entry_changed(self, entry: CDTEntry) -> None:
         """Called by :class:`CDTEntry` on ``c_flag``/``benefit`` writes."""
         key = (entry.d_file, entry.d_offset, entry.length)
+        row = self._pending.get(key)
         if entry.c_flag:
-            self._pending[key] = entry
-        else:
-            self._pending.pop(key, None)
+            # Re-insert only when the row's sort key actually moved.
+            if row is None or row[0] != -entry.benefit:
+                if row is not None:
+                    self._drop_row(row)
+                row = (-entry.benefit, entry.d_file, entry.d_offset,
+                       entry._seq, entry)
+                bisect.insort(self._fetch_order, row)
+                self._pending[key] = row
+        elif row is not None:
+            del self._pending[key]
+            self._drop_row(row)
         heap = self._benefit_heap
         heapq.heappush(heap, (entry.benefit, entry._seq, key))
         # Stale records accumulate one per benefit update; compact the
         # heap once they clearly dominate its size.
         if len(heap) > 64 + 4 * len(self._entries):
             self._rebuild_benefit_heap()
+
+    def _drop_row(self, row: tuple) -> None:
+        order = self._fetch_order
+        del order[bisect.bisect_left(order, row)]
 
     def _rebuild_benefit_heap(self) -> None:
         self._benefit_heap = [
@@ -169,7 +189,9 @@ class CDT:
             file_index.pop(key, None)
             if not file_index:
                 del self._by_file[entry.d_file]
-        self._pending.pop(key, None)
+        row = self._pending.pop(key, None)
+        if row is not None:
+            self._drop_row(row)
         entry._table = None
 
     def _evict_one(self) -> None:
@@ -197,28 +219,26 @@ class CDT:
             self._remove_entry(victim)
 
     # -- queries ---------------------------------------------------------
-    def pending_fetches(self, limit: int | None = None) -> list[CDTEntry]:
+    def pending_fetches(
+        self, limit: int | None = None, budget: int | None = None
+    ) -> list[CDTEntry]:
         """Entries whose C_flag asks for a background fetch.
 
-        Highest benefit first; equal benefits tie-break by admission
-        order (the same order the old stable full-table sort produced).
-        Only the flagged entries — tracked in a dict maintained by the
-        C_flag write hook — are examined.
+        Highest benefit first, offset-sorted within a benefit:
+        ``(-benefit, d_file, d_offset, admission order)``.  A prefix of
+        the maintained fetch order — nothing is sorted per call.  With
+        ``budget``, entries are taken until their lengths reach that
+        many bytes (the entry crossing it included).
         """
-        out = sorted(
-            self._pending.values(), key=lambda e: (-e.benefit, e._seq)
-        )
-        return out if limit is None else out[:limit]
-
-    def pending_fetch_entries(self) -> list["CDTEntry"]:
-        """The flagged entries in no particular order (cheap accessor).
-
-        For callers that apply their own total order anyway (e.g. the
-        Rebuilder's fetch pass) — skips :meth:`pending_fetches`' sort.
-        The C_flag-insertion order of the returned list is
-        deterministic but NOT part of the contract.
-        """
-        return list(self._pending.values())
+        out = []
+        spent = 0
+        for row in itertools.islice(self._fetch_order, limit):
+            if budget is not None and spent >= budget:
+                break
+            entry = row[-1]
+            out.append(entry)
+            spent += entry.length
+        return out
 
     def entries_for(self, d_file: str) -> list[CDTEntry]:
         """All entries for one file, in admission order."""

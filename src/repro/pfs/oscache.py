@@ -26,6 +26,7 @@ take.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import typing
 
@@ -107,8 +108,12 @@ class OSCache:
         self.spec = spec or OSCacheSpec()
         self.name = name or f"oscache:{device.name}"
         self._streams: list[_ReadStream] = []
-        #: Dirty runs as [start, end) sorted list.
-        self._dirty_runs: list[list[int]] = []
+        #: Dirty runs ``[start, end)`` as two parallel sorted lists (the
+        #: :class:`~repro.intervals.IntervalMap` layout).  Runs are
+        #: disjoint and never adjacent (adjacent writes merge), so both
+        #: lists are strictly increasing and bisect answers every query.
+        self._dirty_starts: list[int] = []
+        self._dirty_ends: list[int] = []
         self._dirty_bytes = 0
         self._drainer = None
         self._write_waiters: list = []
@@ -131,8 +136,6 @@ class OSCache:
         spec = self.spec
         if size >= spec.readahead_max:
             # Large request: direct device read, no window bookkeeping.
-            # (The wrapper method is bypassed here and below: one fewer
-            # generator frame per device operation.)
             yield from self._device_op_impl("read", offset, size, priority,
                                             ctx=ctx)
             return
@@ -250,31 +253,27 @@ class OSCache:
             ctx.end(span)
 
     def _add_dirty(self, start: int, end: int) -> None:
-        """Insert [start, end) into the sorted run list, merging."""
-        runs = self._dirty_runs
-        new_bytes = end - start
-        lo = 0
-        while lo < len(runs) and runs[lo][1] < start:
-            lo += 1
-        # Merge every run overlapping/adjacent to [start, end).
-        merged_start, merged_end = start, end
+        """Insert [start, end) into the sorted runs, merging."""
+        starts = self._dirty_starts
+        ends = self._dirty_ends
+        # Merge window: every run overlapping/adjacent to [start, end).
+        lo = bisect.bisect_left(ends, start)
+        hi = bisect.bisect_right(starts, end, lo)
         overlap = 0
-        hi = lo
-        while hi < len(runs) and runs[hi][0] <= end:
-            merged_start = min(merged_start, runs[hi][0])
-            merged_end = max(merged_end, runs[hi][1])
-            overlap += min(end, runs[hi][1]) - max(start, runs[hi][0])
-            hi += 1
-        runs[lo:hi] = [[merged_start, merged_end]]
-        self._dirty_bytes += new_bytes - max(overlap, 0)
+        for i in range(lo, hi):
+            overlap += min(end, ends[i]) - max(start, starts[i])
+        if lo < hi:
+            starts[lo:hi] = (min(start, starts[lo]),)
+            ends[lo:hi] = (max(end, ends[hi - 1]),)
+        else:
+            starts.insert(lo, start)
+            ends.insert(lo, end)
+        self._dirty_bytes += end - start - max(overlap, 0)
 
     def _in_dirty(self, offset: int, size: int) -> bool:
-        for start, end in self._dirty_runs:
-            if start <= offset and offset + size <= end:
-                return True
-            if start > offset + size:
-                break
-        return False
+        # Only the last run starting at or before ``offset`` can hold it.
+        i = bisect.bisect_right(self._dirty_starts, offset) - 1
+        return i >= 0 and offset + size <= self._dirty_ends[i]
 
     def _ensure_drainer(self) -> None:
         if self._drainer is None or not self._drainer.is_alive:
@@ -284,19 +283,26 @@ class OSCache:
 
     def _drain_loop(self):
         """Background write-back: nearest-run-first (elevator-ish)."""
-        while self._dirty_runs:
+        starts = self._dirty_starts
+        ends = self._dirty_ends
+        while starts:
             head = getattr(self.device, "head_position", None) or 0
-            index = min(
-                range(len(self._dirty_runs)),
-                key=lambda i, head=head: abs(self._dirty_runs[i][0] - head),
-            )
-            run = self._dirty_runs[index]
-            start = run[0]
-            chunk = min(self.spec.drain_chunk, run[1] - start)
-            if run[1] - run[0] <= chunk:
-                del self._dirty_runs[index]
+            # Distance to the head falls then rises along the sorted
+            # starts, so the nearest run is a bisect neighbour of the
+            # head; on a tie the lower start wins (``min``'s first-index
+            # rule over the whole list).
+            index = bisect.bisect_left(starts, head)
+            if index == len(starts) or (
+                index and head - starts[index - 1] <= starts[index] - head
+            ):
+                index -= 1
+            start = starts[index]
+            chunk = min(self.spec.drain_chunk, ends[index] - start)
+            if ends[index] - start <= chunk:
+                del starts[index]
+                del ends[index]
             else:
-                run[0] = start + chunk
+                starts[index] = start + chunk
             yield from self._device_op_impl("write", start, chunk,
                                             PRIORITY_LOW)
             self._dirty_bytes -= chunk
@@ -306,13 +312,6 @@ class OSCache:
                 for gate in waiters:
                     gate.succeed()
         # Loop exits when clean; a future write respawns it.
-
-    # ------------------------------------------------------------------
-    # shared device access
-    # ------------------------------------------------------------------
-    def _device_op(self, op: str, offset: int, size: int, priority: int,
-                   ctx: "TraceContext | None" = None):
-        yield from self._device_op_impl(op, offset, size, priority, ctx=ctx)
 
     @property
     def dirty_bytes(self) -> int:

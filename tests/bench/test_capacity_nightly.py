@@ -3,14 +3,20 @@
 Deselected by default (see the ``capacity`` marker in
 ``pyproject.toml``); the nightly job runs ``pytest -m capacity``.
 Asserts the full receipt pipeline: every sweep point completes, the
-1024-rank floor is reached, and per-rank peak memory stays flat.
+1024-rank floor is reached, and per-rank peak memory and per-request
+wall time stay flat.
 """
 
 import json
 
 import pytest
 
-from repro.bench.capacity_receipt import FLATNESS_LIMIT, RANKS, write_receipt
+from repro.bench.capacity_receipt import (
+    FLATNESS_LIMIT,
+    RANKS,
+    TIME_FLATNESS_LIMIT,
+    write_receipt,
+)
 
 pytestmark = pytest.mark.capacity
 
@@ -32,3 +38,7 @@ def test_capacity_receipt_end_to_end(tmp_path):
     flat = receipt["claims"]["memory_flat"]
     assert flat["met"], flat
     assert flat["per_rank_growth_x"] <= FLATNESS_LIMIT
+
+    speed = receipt["claims"]["time_flat"]
+    assert speed["met"], speed
+    assert speed["per_request_growth_x"] <= TIME_FLATNESS_LIMIT

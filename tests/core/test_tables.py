@@ -44,6 +44,22 @@ def test_cdt_pending_fetches_sorted_by_benefit():
     assert cdt.pending_fetches(limit=1) == [high]
 
 
+def test_cdt_pending_fetches_offset_order_within_benefit():
+    cdt = CDT()
+    later = cdt.admit("/f", 200, 10, benefit=0.1)
+    earlier = cdt.admit("/f", 100, 10, benefit=0.1)
+    other = cdt.admit("/e", 300, 10, benefit=0.1)
+    for entry in (later, earlier, other):
+        entry.c_flag = True
+    # Equal benefits tie-break by (d_file, d_offset), not admission.
+    assert cdt.pending_fetches() == [other, earlier, later]
+    # A benefit change re-ranks; clearing the flag drops the entry.
+    later.benefit = 0.2
+    assert cdt.pending_fetches() == [later, other, earlier]
+    other.c_flag = False
+    assert cdt.pending_fetches() == [later, earlier]
+
+
 def test_cdt_capacity_evicts_lowest_benefit():
     cdt = CDT(capacity_entries=2)
     cdt.admit("/f", 0, 10, benefit=0.5)

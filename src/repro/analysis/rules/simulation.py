@@ -2,7 +2,6 @@
 
 SIM001  resource acquired without a try/finally release
 SIM002  events scheduled with a negative delay literal
-SIM003  Simulator constructed with an unknown scheduler name
 SIM004  cache-space reservations / in-flight registrations that can
         leak on a raising or returning path (CFG-based)
 SIM005  process-protocol violations (bad yields, swallowed kills,
@@ -14,7 +13,6 @@ from __future__ import annotations
 import ast
 import typing
 
-from ...sim.core import SCHEDULERS
 from ..dataflow import assigned_names, build_cfg
 from ..registry import Rule, register_rule
 
@@ -163,50 +161,6 @@ class NegativeDelayRule(Rule):
                     node,
                     f"negative delay literal passed to {name}(); events "
                     "cannot be scheduled into the past",
-                )
-        self.generic_visit(node)
-
-
-@register_rule
-class UnknownSchedulerRule(Rule):
-    """SIM003: ``Simulator(scheduler=...)`` raises at construction time
-    for any name outside :data:`repro.sim.core.SCHEDULERS`, so a string
-    literal that is not a known backend is always a bug — usually a
-    typo (``"calender"``) or a backend that was renamed/removed.
-    Non-literal arguments (variables, ``name or DEFAULT_SCHEDULER``)
-    are runtime-dependent and left alone."""
-
-    code = "SIM003"
-    name = "known-scheduler-backend"
-    rationale = (
-        "Simulator() rejects scheduler names outside SCHEDULERS at "
-        "runtime; a literal typo should fail in lint, not mid-run"
-    )
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        name = None
-        if isinstance(func, ast.Attribute):
-            name = func.attr
-        elif isinstance(func, ast.Name):
-            name = func.id
-        if name == "Simulator":
-            # Signature: Simulator(seed=0, scheduler=DEFAULT_SCHEDULER).
-            chosen: ast.AST | None = None
-            if len(node.args) > 1:
-                chosen = node.args[1]
-            for kw in node.keywords:
-                if kw.arg == "scheduler":
-                    chosen = kw.value
-            if (
-                isinstance(chosen, ast.Constant)
-                and isinstance(chosen.value, str)
-                and chosen.value not in SCHEDULERS
-            ):
-                self.report(
-                    node,
-                    f"unknown scheduler backend {chosen.value!r}; "
-                    f"expected one of {', '.join(SCHEDULERS)}",
                 )
         self.generic_visit(node)
 

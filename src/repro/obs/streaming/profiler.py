@@ -64,10 +64,9 @@ class EngineProfiler:
     def run(self, until: float | None = None) -> float:
         """Mirror of ``Simulator.run`` with per-event timing.
 
-        Pops through ``Simulator._pop_merged`` so the exact merge /
-        cancellation / ``until`` semantics of whichever timed-queue
-        backend is active (calendar or heap) are replayed, not
-        reimplemented here.
+        Pops through ``Simulator._pop_merged`` so the engine's exact
+        run-queue / heap merge, cancellation and ``until`` semantics
+        are replayed, not reimplemented here.
         """
         sim = self.sim
         crashed = sim._crashed

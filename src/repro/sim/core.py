@@ -2,41 +2,11 @@
 
 Engine layout (the hot path of every experiment in the repo):
 
-- Events with a positive delay live in the *timed queue*.  Two
-  interchangeable backends implement it, selected per simulator via
-  ``Simulator(scheduler=...)``:
-
-  * ``"calendar"`` — a calendar queue / timer wheel:
-    a power-of-two ring of buckets, each one bucket-width of simulated
-    time wide.  Buckets are stored as three parallel lists (whens,
-    seqs, events) instead of ``(when, seq, event)`` tuples, so a timed
-    entry allocates **nothing**: inserts are a bisect on the whens
-    list plus three C-level list inserts, and because sequence numbers
-    are globally monotonic in schedule order, positioning by ``when``
-    alone reproduces the full ``(when, seq)`` sort order.  Buckets are
-    therefore always sorted and a drain steals the three lists
-    wholesale — no per-pop sort, no tuple unpacking.  Events beyond
-    the wheel horizon go to a sorted overflow triple and migrate into
-    the wheel as the cursor approaches.  The wheel resizes itself
-    (bucket width and slot count) from occupancy statistics — all
-    content-driven, so resize points are deterministic.
-  * ``"heap"`` — the classic binary heap keyed by ``(time, seq)``
-    tuples; kept for differential testing against the calendar
-    backend (``heapq`` requires tuple entries; the engine counts them
-    in :attr:`Simulator.timed_entry_tuples` so allocation receipts
-    stay honest).
-  * ``"auto"`` (the default) — heap while the pending-timer
-    population stays small (its run loop is a little tighter, which
-    wins on zero-delay-dominated workloads), switching to the
-    calendar wheel the first time ``_AUTO_TIMERS`` timers are
-    pending.  The switch re-sorts the pending entries into the wheel
-    and cannot change the pop order.
-
-  Both backends pop in exactly the same ``(time, seq)`` total order:
-  the slot index ``int(time * inv_width)`` is monotonic in ``time``,
-  so walking buckets in slot order reproduces the global sort order
-  bit-for-bit.
-
+- Events with a positive delay live in the *timed queue*: a binary
+  heap of ``(time, seq, event)`` tuples, so pops follow the
+  ``(time, seq)`` total order (``heapq`` requires tuple entries; the
+  engine counts them in :attr:`Simulator.timed_entry_tuples` so
+  allocation receipts stay honest).
 - Zero-delay events — the majority in a typical run: resource grants,
   store hand-offs, completion notifications, process bootstraps — go
   to a FIFO *run-queue* instead, costing O(1) to schedule and pop.
@@ -46,11 +16,12 @@ Engine layout (the hot path of every experiment in the repo):
   run-queue entries carry the current clock as their timestamp — the
   clock cannot advance while the run-queue is non-empty — so the merge
   only ever compares sequence numbers at one timestamp.)  The run
-  loops cache the merge verdict: while the timed queue's front lies in
-  the future (``_timed_ready`` False) a run-queue pop is one
-  ``popleft`` with no timed-queue probes at all; only scheduling an
-  entry at or before ``now`` (possible via float rounding) re-arms the
-  check.
+  loop caches the merge verdict: while the heap's front lies in the
+  future (``_timed_ready`` False) a run-queue pop is one ``popleft``
+  with no heap probes at all; only scheduling an entry at or before
+  ``now`` (possible via float rounding) re-arms the check.
+- :meth:`Simulator.cancel` drops timed entries lazily and compacts
+  them out, in place, once they dominate the heap.
 - The engine recycles its per-event objects through free pools on the
   simulator: plain ``yield sim.timeout(x)`` timeouts, process
   bootstrap frames, and generic ``sim.event()`` events whose sole
@@ -63,7 +34,6 @@ from __future__ import annotations
 
 import heapq
 import typing
-from bisect import bisect_left, bisect_right
 from collections import deque
 
 from ..errors import SimulationError
@@ -78,43 +48,6 @@ _TIMEOUT_POOL_LIMIT = 256
 _FRAME_POOL_LIMIT = 256
 #: Upper bound on pooled generic Event instances kept for reuse.
 _EVENT_POOL_LIMIT = 256
-
-#: The default timed-queue backend.  ``"auto"`` starts on the heap
-#: (whose smaller run loop wins under low timer pressure) and adopts
-#: the calendar wheel the first time the pending-timer population
-#: reaches :data:`_AUTO_TIMERS` — both backends pop the identical
-#: ``(time, seq)`` order, so the switch is invisible to the workload.
-DEFAULT_SCHEDULER = "auto"
-#: Every backend the engine knows; ``Simulator(scheduler=...)`` must
-#: name one of these (simlint SIM003 checks call sites statically).
-SCHEDULERS = ("auto", "calendar", "heap")
-
-#: Pending-timer population at which an ``"auto"`` simulator switches
-#: from the heap to the calendar backend (checked at timed-pop time).
-#: Below this the heap's O(log n) is cheap and its tighter run loop
-#: wins; above it the calendar's O(1) inserts and batched drains pay
-#: for themselves (BENCH_calendar's *_calendar shapes).
-_AUTO_TIMERS = 512
-
-# -- calendar-queue geometry ------------------------------------------------
-#: Initial bucket count (always a power of two).
-_CAL_SLOTS0 = 256
-#: Initial bucket width in simulated seconds.  80 us spans the typical
-#: per-request delays of an S4D run (software overhead, small-message
-#: network times); the resize policy adapts from there.
-_CAL_WIDTH0 = 8e-5
-#: Bucket batches between resize-policy checks.
-_CAL_POLICY_BATCHES = 512
-#: Hard bounds for the adaptive bucket width (seconds).
-_CAL_MIN_WIDTH = 1e-9
-_CAL_MAX_WIDTH = 1e3
-#: Slot-count growth cap.
-_CAL_MAX_SLOTS = 1 << 16
-#: Overflow entries tolerated before the wheel re-gears to the
-#: pending span (a bisect-insert into the sorted overflow is O(len),
-#: so the list must stay shallow); doubled as a backoff when the
-#: geometry is already clamped at its bounds.
-_CAL_OVER_LIMIT0 = 1024
 
 #: Cancelled-entry compaction: once at least this many cancellations
 #: are pending *and* they exceed 1/4 of the live timed queue, the
@@ -131,29 +64,17 @@ class Simulator:
     events scheduled for the same time fire in schedule order, and all
     randomness flows through :class:`~repro.sim.rng.RandomStreams`.
 
-    ``scheduler`` selects the timed-queue backend: ``"auto"`` (the
-    default — heap until the pending-timer population reaches
-    :data:`_AUTO_TIMERS`, then the calendar wheel), ``"calendar"`` or
-    ``"heap"``.  All choices produce bit-identical event order (see
-    the module docstring).  ``pooling=False`` disables the Timeout/frame/Event
-    free pools (every event is freshly allocated) without changing the
-    event order in any way — the differential test suite runs the same
+    ``pooling=False`` disables the Timeout/frame/Event free pools
+    (every event is freshly allocated) without changing the event
+    order in any way — the differential test suite runs the same
     workload pooled and unpooled and asserts identical streams.
     """
 
-    def __init__(self, seed: int = 0, scheduler: str = DEFAULT_SCHEDULER,
-                 pooling: bool = True):
-        if scheduler not in SCHEDULERS:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}"
-            )
-        self.scheduler = scheduler
-        #: True until an "auto" simulator commits to a backend.
-        self._auto = scheduler == "auto"
+    def __init__(self, seed: int = 0, pooling: bool = True):
         self.pooling = pooling
         self.now: float = 0.0
         self.rng = RandomStreams(seed)
-        #: Timed queue, heap backend (stays empty under "calendar").
+        #: Timed queue: a heap of ``(time, seq, event)`` tuples.
         self._heap: list[tuple[float, int, Event]] = []
         #: Zero-delay fast lane, in schedule order; each queued event
         #: carries its schedule seq in ``_qseq`` (no tuple wrapping).
@@ -162,7 +83,7 @@ class Simulator:
         self._frame_pool: list[_Frame] = []
         self._event_pool: list[Event] = []
         # Per-simulator pool caps; zeroed by pooling=False so the run
-        # loops never recycle (``len(pool) < 0`` is never true) and the
+        # loop never recycles (``len(pool) < 0`` is never true) and the
         # creation paths never find a pooled instance.
         self._timeout_limit = _TIMEOUT_POOL_LIMIT if pooling else 0
         self._frame_limit = _FRAME_POOL_LIMIT if pooling else 0
@@ -171,14 +92,14 @@ class Simulator:
         self._next_pid = 0
         self._active_process: Process | None = None
         #: ``(time, seq, event)`` tuples handed to the timed queue —
-        #: one per heap push, zero under the flat calendar backend.
-        #: Allocation receipts read this to report tuple churn honestly.
+        #: one per heap push.  Allocation receipts read this to report
+        #: tuple churn honestly.
         self.timed_entry_tuples = 0
-        #: Merge-verdict cache for the run loops: False only while the
+        #: Merge-verdict cache for the run loop: False only while the
         #: timed queue provably holds nothing at or before ``now``, so
         #: run-queue pops skip the timed probes entirely.  Every
         #: schedule path that can arm an entry at/behind ``now`` sets
-        #: it back to True; the run loops re-verify before trusting it.
+        #: it back to True; the run loop re-verifies before trusting it.
         self._timed_ready = True
         #: Crashed-but-unjoined processes, keyed by their monotonic
         #: ``pid`` — never by ``id()``, which is an allocator address
@@ -191,87 +112,6 @@ class Simulator:
         #: When set, :meth:`run` delegates to the attached
         #: :class:`~repro.obs.streaming.profiler.EngineProfiler`.
         self._profiler = None
-        if scheduler == "calendar":
-            self._cal_init()
-        else:
-            #: ``None`` marks the heap backend on every hot path
-            #: ("heap", and "auto" until it adopts the calendar).
-            self._cal_dw = None
-
-    def _cal_init(self) -> None:
-        """Install empty calendar-queue state at the default geometry.
-
-        Calendar state is kept flat on the simulator (not behind a
-        queue object) so the inlined hot paths pay one attribute load
-        per field, same as the heap backend.  Every container is a
-        parallel triple: whens (floats), seqs (ints), events — never
-        per-entry tuples.
-        """
-        self._cal_inv = 1.0 / _CAL_WIDTH0
-        self._cal_mask = _CAL_SLOTS0 - 1
-        self._cal_bw: list[list[float]] = [[] for _ in range(_CAL_SLOTS0)]
-        self._cal_bs: list[list[int]] = [[] for _ in range(_CAL_SLOTS0)]
-        self._cal_be: list[list[Event]] = [[] for _ in range(_CAL_SLOTS0)]
-        #: The sorted batch currently being drained: every entry
-        #: with slot <= cursor.  ``_cal_due_idx`` is the
-        #: consumption point; entries before it are spent.
-        #: ``_cal_dw is None`` marks the heap backend everywhere.
-        self._cal_dw: list[float] | None = []
-        self._cal_ds: list[int] = []
-        self._cal_de: list[Event] = []
-        self._cal_due_idx = 0
-        #: Entries sitting in buckets (due and overflow excluded —
-        #: their sizes are read directly).  Kept buckets-only so
-        #: consuming from the due batch costs no counter update.
-        self._cal_count = 0
-        #: Far-future entries beyond the wheel horizon, ascending.
-        self._cal_ow: list[float] = []
-        self._cal_os: list[int] = []
-        self._cal_oe: list[Event] = []
-        #: Overflow length that triggers :meth:`_cal_regear`.
-        self._cal_over_limit = _CAL_OVER_LIMIT0
-        #: Absolute slot index of the drain cursor (monotonic
-        #: between rebuilds).
-        self._cal_cur = int(self.now * self._cal_inv)
-        # Resize-policy counters (reset at each policy check).
-        self._cal_batches = 0
-        self._cal_scans = 0
-        self._cal_popped = 0
-        #: Inserts that landed at/behind the cursor (due insort).
-        #: When these dominate, bucket width is too coarse for the
-        #: run's delay scale and the wheel narrows itself.
-        self._cal_insorts = 0
-
-    def _cal_adopt(self) -> None:
-        """Switch an ``"auto"`` simulator from the heap to the calendar.
-
-        Called from the run loop when the pending-timer population
-        crosses :data:`_AUTO_TIMERS`.  The heap's entries become the
-        calendar's overflow (they are sorted first — ``(when, seq)``
-        tuples compare exactly in pop order) and are redistributed at
-        the *default* geometry, exactly as if they had been inserted
-        through the normal paths: big sorted buckets drain by the
-        O(1) whole-bucket steal, so a coarse wheel beats one fitted
-        to ~1 entry per slot (slot scans, not bucket sizes, are the
-        drain cost), and the content-driven resize policy adapts from
-        there.  Both backends pop the identical total order, so the
-        switch cannot change any observable schedule.
-        """
-        self._auto = False
-        entries = sorted(self._heap)
-        self._heap.clear()  # the running loop's local alias drains out
-        self._cal_init()
-        self._cal_ow = [t[0] for t in entries]
-        self._cal_os = [t[1] for t in entries]
-        self._cal_oe = [t[2] for t in entries]
-        if self._cal_ow:
-            self._cal_rebuild(self._cal_inv, self._cal_mask + 1)
-        self._timed_ready = True
-
-    @property
-    def active_scheduler(self) -> str:
-        """The backend currently in use (resolves ``"auto"``)."""
-        return "heap" if self._cal_dw is None else "calendar"
 
     @property
     def events_scheduled(self) -> int:
@@ -328,66 +168,10 @@ class Simulator:
                 return timeout
             seq = self._seq = self._seq + 1
             when = self.now + delay
-            dw = self._cal_dw
-            if dw is not None:
-                # Inlined calendar insert (see _schedule).
-                s = int(when * self._cal_inv)
-                d = s - self._cal_cur
-                if 0 < d <= self._cal_mask:
-                    j = s & self._cal_mask
-                    bw = self._cal_bw[j]
-                    if not bw or when >= bw[-1]:
-                        bw.append(when)
-                        self._cal_bs[j].append(seq)
-                        self._cal_be[j].append(timeout)
-                    else:
-                        # Position by when alone: seq is globally
-                        # monotonic, so bisect_right lands after every
-                        # equal-when entry — exact (when, seq) order.
-                        i = bisect_right(bw, when)
-                        bw.insert(i, when)
-                        self._cal_bs[j].insert(i, seq)
-                        self._cal_be[j].insert(i, timeout)
-                    self._cal_count += 1
-                elif d <= 0:
-                    idx = self._cal_due_idx
-                    if idx > 1024:
-                        # Trim the spent prefix so insert cost tracks
-                        # the live batch, not consumption history.
-                        del dw[:idx]
-                        del self._cal_ds[:idx]
-                        del self._cal_de[:idx]
-                        self._cal_due_idx = idx = 0
-                    # lo=idx: never insert into the spent prefix.  It
-                    # can hold times above ``when`` — a lazily skipped
-                    # cancelled entry is consumed without advancing the
-                    # clock — and an entry landing there would be lost.
-                    i = bisect_right(dw, when, idx)
-                    dw.insert(i, when)
-                    self._cal_ds.insert(i, seq)
-                    self._cal_de.insert(i, timeout)
-                    if when <= self.now:
-                        self._timed_ready = True
-                    if len(dw) - idx > 32:
-                        # Small-batch inserts are as cheap as a bucket
-                        # append; only a fat live batch signals a wheel
-                        # degenerating into one sorted list.
-                        n = self._cal_insorts = self._cal_insorts + 1
-                        if n >= 2048:
-                            self._cal_retune()
-                else:
-                    ow = self._cal_ow
-                    i = bisect_right(ow, when)
-                    ow.insert(i, when)
-                    self._cal_os.insert(i, seq)
-                    self._cal_oe.insert(i, timeout)
-                    if len(ow) > self._cal_over_limit:
-                        self._cal_regear()
-            else:
-                heapq.heappush(self._heap, (when, seq, timeout))
-                self.timed_entry_tuples += 1
-                if when <= self.now:
-                    self._timed_ready = True
+            heapq.heappush(self._heap, (when, seq, timeout))
+            self.timed_entry_tuples += 1
+            if when <= self.now:
+                self._timed_ready = True
             return timeout
         return Timeout(self, delay, value)
 
@@ -420,27 +204,9 @@ class Simulator:
         runq = self._runq
         now = self.now
         seq = self._seq
-        dw = self._cal_dw
+        heap = self._heap
+        heappush = heapq.heappush
         pushed = 0
-        if dw is not None:
-            ds = self._cal_ds
-            de = self._cal_de
-            bw_all = self._cal_bw
-            bs_all = self._cal_bs
-            be_all = self._cal_be
-            mask = self._cal_mask
-            inv = self._cal_inv
-            cur = self._cal_cur
-            added = 0
-            #: Far-future entries collected locally and merged into the
-            #: overflow triple once — per-item inserts into a large
-            #: overflow would make bulk pre-arming quadratic.
-            fw: list[float] = []
-            fs: list[int] = []
-            fe: list[Timeout] = []
-        else:
-            heap = self._heap
-            heappush = heapq.heappush
         absolute = delays is None
         for x in (at if absolute else delays):
             if absolute:
@@ -452,10 +218,6 @@ class Simulator:
             if delay < 0:
                 self._seq = seq
                 self.timed_entry_tuples += pushed
-                if dw is not None:
-                    self._cal_count += added
-                    if fw:
-                        self._cal_merge_far(fw, fs, fe)
                 raise SimulationError(f"negative timeout delay: {delay}")
             if pool:
                 timeout = pool.pop()
@@ -481,56 +243,13 @@ class Simulator:
                 runq.append(timeout)
             else:
                 seq += 1
-                if dw is not None:
-                    s = int(when * inv)
-                    d = s - cur
-                    if 0 < d <= mask:
-                        j = s & mask
-                        bw = bw_all[j]
-                        if not bw or when >= bw[-1]:
-                            bw.append(when)
-                            bs_all[j].append(seq)
-                            be_all[j].append(timeout)
-                        else:
-                            i = bisect_right(bw, when)
-                            bw.insert(i, when)
-                            bs_all[j].insert(i, seq)
-                            be_all[j].insert(i, timeout)
-                        added += 1
-                    elif d <= 0:
-                        # lo: keep out of the spent prefix (see timeout).
-                        i = bisect_right(dw, when, self._cal_due_idx)
-                        dw.insert(i, when)
-                        ds.insert(i, seq)
-                        de.insert(i, timeout)
-                        if when <= now:
-                            self._timed_ready = True
-                        if len(dw) - self._cal_due_idx > 32:
-                            self._cal_insorts += 1
-                    else:
-                        fw.append(when)
-                        fs.append(seq)
-                        fe.append(timeout)
-                else:
-                    heappush(heap, (when, seq, timeout))
-                    pushed += 1
-                    if when <= now:
-                        self._timed_ready = True
+                heappush(heap, (when, seq, timeout))
+                pushed += 1
+                if when <= now:
+                    self._timed_ready = True
             out.append(timeout)
         self._seq = seq
         self.timed_entry_tuples += pushed
-        if dw is not None:
-            self._cal_count += added
-            if fw:
-                self._cal_merge_far(fw, fs, fe)
-                if len(self._cal_ow) > self._cal_over_limit:
-                    self._cal_regear()
-        elif self._auto and len(heap) >= _AUTO_TIMERS:
-            # A bulk pre-arm is exactly the flood the calendar wins at:
-            # adopt now, before the drain pays a heappop per entry (a
-            # running _run_heap drive notices at its exit and hands
-            # over to _run_calendar).
-            self._cal_adopt()
         return out
 
     def all_of(self, events: typing.Sequence[Event]) -> AllOf:
@@ -567,59 +286,10 @@ class Simulator:
             raise SimulationError(f"cannot schedule into the past: {delay}")
         seq = self._seq = self._seq + 1
         when = self.now + delay
-        dw = self._cal_dw
-        if dw is None:
-            heapq.heappush(self._heap, (when, seq, event))
-            self.timed_entry_tuples += 1
-            if when <= self.now:
-                self._timed_ready = True
-            return
-        s = int(when * self._cal_inv)
-        d = s - self._cal_cur
-        if 0 < d <= self._cal_mask:
-            j = s & self._cal_mask
-            bw = self._cal_bw[j]
-            if not bw or when >= bw[-1]:
-                bw.append(when)
-                self._cal_bs[j].append(seq)
-                self._cal_be[j].append(event)
-            else:
-                i = bisect_right(bw, when)
-                bw.insert(i, when)
-                self._cal_bs[j].insert(i, seq)
-                self._cal_be[j].insert(i, event)
-            self._cal_count += 1
-        elif d <= 0:
-            # At or behind the drain cursor: merge into the live batch,
-            # never into its spent prefix (lo=idx) — skipped cancelled
-            # entries leave future times there, and an entry inserted
-            # behind the consumption point would be lost.
-            idx = self._cal_due_idx
-            if idx > 1024:
-                del dw[:idx]
-                del self._cal_ds[:idx]
-                del self._cal_de[:idx]
-                self._cal_due_idx = idx = 0
-            i = bisect_right(dw, when, idx)
-            dw.insert(i, when)
-            self._cal_ds.insert(i, seq)
-            self._cal_de.insert(i, event)
-            if when <= self.now:
-                self._timed_ready = True
-            if len(dw) - idx > 32:
-                # See timeout(): only fat live batches count toward
-                # the narrow-retune trigger.
-                n = self._cal_insorts = self._cal_insorts + 1
-                if n >= 2048:
-                    self._cal_retune()
-        else:
-            ow = self._cal_ow
-            i = bisect_right(ow, when)
-            ow.insert(i, when)
-            self._cal_os.insert(i, seq)
-            self._cal_oe.insert(i, event)
-            if len(ow) > self._cal_over_limit:
-                self._cal_regear()
+        heapq.heappush(self._heap, (when, seq, event))
+        self.timed_entry_tuples += 1
+        if when <= self.now:
+            self._timed_ready = True
 
     def cancel(self, event: Event) -> None:
         """Discard a scheduled positive-delay event without firing it.
@@ -645,14 +315,7 @@ class Simulator:
         cancelled = self._cancelled
         cancelled.add(event)
         n = len(cancelled)
-        if n < _COMPACT_MIN_CANCELLED:
-            return
-        if self._cal_dw is not None:
-            live = (self._cal_count + len(self._cal_ow)
-                    + len(self._cal_dw) - self._cal_due_idx)
-        else:
-            live = len(self._heap)
-        if n * 4 >= live:
+        if n >= _COMPACT_MIN_CANCELLED and n * 4 >= len(self._heap):
             self._compact()
 
     def _compact(self) -> None:
@@ -660,82 +323,24 @@ class Simulator:
 
         Order preservation is free: entry order derives from
         ``(time, seq)``, not from queue structure, so dropping entries
-        cannot reorder the survivors.  Only events actually found in
-        the queue leave the cancelled set — an event cancelled before
-        (re)scheduling keeps its pending cancellation.
+        cannot reorder the survivors.  The heap is rebuilt *in place*
+        because a running :meth:`run` pops through a local alias of
+        it.  Only events actually found in the queue leave the
+        cancelled set — an event cancelled before (re)scheduling keeps
+        its pending cancellation.
         """
         cancelled = self._cancelled
+        heap = self._heap
         removed: list[Event] = []
-        dw = self._cal_dw
-        if dw is not None:
-            ds = self._cal_ds
-            de = self._cal_de
-            kw: list[float] = []
-            ks: list[int] = []
-            ke: list[Event] = []
-            for i in range(self._cal_due_idx, len(dw)):
-                event = de[i]
-                if event in cancelled:
-                    removed.append(event)
-                else:
-                    kw.append(dw[i])
-                    ks.append(ds[i])
-                    ke.append(event)
-            self._cal_dw = kw
-            self._cal_ds = ks
-            self._cal_de = ke
-            self._cal_due_idx = 0
-            count = 0
-            bw_all = self._cal_bw
-            bs_all = self._cal_bs
-            be_all = self._cal_be
-            for j, be in enumerate(be_all):
-                if not be:
-                    continue
-                bw = bw_all[j]
-                bs = bs_all[j]
-                kw, ks, ke = [], [], []
-                for i, event in enumerate(be):
-                    if event in cancelled:
-                        removed.append(event)
-                    else:
-                        kw.append(bw[i])
-                        ks.append(bs[i])
-                        ke.append(event)
-                if len(ke) != len(be):
-                    bw_all[j] = kw
-                    bs_all[j] = ks
-                    be_all[j] = ke
-                    count += len(ke)
-                else:
-                    count += len(be)
-            ow = self._cal_ow
-            os_ = self._cal_os
-            oe = self._cal_oe
-            kw, ks, ke = [], [], []
-            for i, event in enumerate(oe):
-                if event in cancelled:
-                    removed.append(event)
-                else:
-                    kw.append(ow[i])
-                    ks.append(os_[i])
-                    ke.append(event)
-            self._cal_ow = kw
-            self._cal_os = ks
-            self._cal_oe = ke
-            self._cal_count = count
-        else:
-            heap = self._heap
-            kept = []
-            for entry in heap:
-                if entry[2] in cancelled:
-                    removed.append(entry[2])
-                else:
-                    kept.append(entry)
-            if removed:
-                heapq.heapify(kept)
-                self._heap = kept
+        kept = []
+        for entry in heap:
+            if entry[2] in cancelled:
+                removed.append(entry[2])
+            else:
+                kept.append(entry)
         if removed:
+            heap[:] = kept
+            heapq.heapify(heap)
             cancelled.difference_update(removed)
 
     def _next_process_id(self) -> int:
@@ -745,323 +350,6 @@ class Simulator:
 
     def _note_crash(self, process: Process, exc: BaseException) -> None:
         self._crashed[process.pid] = exc
-
-    # -- calendar internals ----------------------------------------------
-    def _cal_merge_far(self, fw: list[float], fs: list[int],
-                       fe: list[Event]) -> None:
-        """Merge a batch of far-future entries into the overflow triple.
-
-        ``fw/fs/fe`` arrive in schedule order (seqs ascending, all
-        larger than any seq already in the overflow), so one *stable*
-        sort by when reproduces the full ``(when, seq)`` order — no
-        per-entry tuples, even transiently.
-        """
-        ow = self._cal_ow
-        if len(fw) == 1:
-            i = bisect_right(ow, fw[0])
-            ow.insert(i, fw[0])
-            self._cal_os.insert(i, fs[0])
-            self._cal_oe.insert(i, fe[0])
-            return
-        if ow:
-            cw = ow + fw
-            cs = self._cal_os + fs
-            ce = self._cal_oe + fe
-        else:
-            cw, cs, ce = fw, fs, fe
-        order = sorted(range(len(cw)), key=cw.__getitem__)
-        self._cal_ow = [cw[i] for i in order]
-        self._cal_os = [cs[i] for i in order]
-        self._cal_oe = [ce[i] for i in order]
-
-    def _cal_refill(self) -> bool:
-        """Advance the wheel so the due triple's front is the next
-        timed entry; returns False when the timed queue is empty.
-
-        One refill extracts one whole bucket into the due triple,
-        migrating overflow entries whose slot entered the wheel
-        horizon first.  Every non-empty bucket holds entries of exactly
-        one slot value (wheel entries always sit within ``mask`` slots
-        of the cursor) and buckets are kept sorted at insert time, so
-        whole-bucket extraction preserves the global ``(time, seq)``
-        order with no sort at drain time.
-        """
-        if self._cal_batches >= _CAL_POLICY_BATCHES:
-            self._cal_policy()
-        dw = self._cal_dw
-        if self._cal_due_idx < len(dw):
-            return True
-        inv = self._cal_inv
-        mask = self._cal_mask
-        ow = self._cal_ow
-        cur = self._cal_cur
-        count = self._cal_count
-        if not count:
-            if not ow:
-                self._cal_cur = cur
-                return False
-            # Wheel drained: jump the cursor straight to the overflow
-            # head's slot (no empty-slot walk).
-            cur = int(ow[0] * inv)
-        if ow and int(ow[0] * inv) <= cur + mask:
-            # Migrate every overflow entry now inside the horizon.
-            # While the wheel is non-empty the cursor trails every
-            # overflow slot, so migrated entries land strictly ahead
-            # of it — except on the jump above, where the head batch
-            # lands exactly on the cursor and drains immediately.
-            horizon = cur + mask
-            n = len(ow)
-            k = 1
-            while k < n and int(ow[k] * inv) <= horizon:
-                k += 1
-            os_ = self._cal_os
-            oe = self._cal_oe
-            # Slot index is monotonic in when, so entries at/behind the
-            # cursor form a prefix of the (sorted) overflow.
-            p = 0
-            while p < k and int(ow[p] * inv) <= cur:
-                p += 1
-            if p < k:
-                bw_all = self._cal_bw
-                bs_all = self._cal_bs
-                be_all = self._cal_be
-                for m in range(p, k):
-                    w = ow[m]
-                    j = int(w * inv) & mask
-                    bw = bw_all[j]
-                    if not bw or w > bw[-1]:
-                        bw.append(w)
-                        bs_all[j].append(os_[m])
-                        be_all[j].append(oe[m])
-                    else:
-                        # A resident sharing ``w`` was scheduled after
-                        # the horizon covered its slot, i.e. later than
-                        # this migrating entry — so migrated entries go
-                        # *before* equal-when residents, in their own
-                        # seq order (the bs walk keeps migrant order).
-                        bs = bs_all[j]
-                        s = os_[m]
-                        i = bisect_left(bw, w)
-                        while i < len(bw) and bw[i] == w and bs[i] < s:
-                            i += 1
-                        bw.insert(i, w)
-                        bs.insert(i, s)
-                        be_all[j].insert(i, oe[m])
-                self._cal_count = count = count + (k - p)
-            if p:
-                # A sorted prefix of the (sorted) overflow at/behind
-                # the cursor: drain it directly as the due triple.
-                self._cal_dw = ow[:p]
-                self._cal_ds = os_[:p]
-                self._cal_de = oe[:p]
-                del ow[:k]
-                del os_[:k]
-                del oe[:k]
-                self._cal_due_idx = 0
-                self._cal_cur = cur
-                self._cal_batches += 1
-                self._cal_popped += p
-                return True
-            del ow[:k]
-            del os_[:k]
-            del oe[:k]
-        if not count:
-            self._cal_cur = cur
-            return False
-        bw_all = self._cal_bw
-        scans = 0
-        while True:
-            j = cur & mask
-            bw = bw_all[j]
-            if bw and int(bw[0] * inv) <= cur:
-                bs_all = self._cal_bs
-                be_all = self._cal_be
-                k = len(bw)
-                # Steal the bucket's three lists as the due triple and
-                # leave the spent due lists (cleared) as the empty
-                # bucket — zero allocation, zero sort.
-                sw, ss, se = self._cal_dw, self._cal_ds, self._cal_de
-                del sw[:]
-                del ss[:]
-                del se[:]
-                self._cal_dw = bw
-                self._cal_ds = bs_all[j]
-                self._cal_de = be_all[j]
-                bw_all[j] = sw
-                bs_all[j] = ss
-                be_all[j] = se
-                self._cal_count = count - k
-                self._cal_due_idx = 0
-                self._cal_cur = cur
-                self._cal_scans += scans
-                self._cal_batches += 1
-                self._cal_popped += k
-                return True
-            cur += 1
-            scans += 1
-            if scans > mask + 1:  # pragma: no cover - invariant guard
-                raise SimulationError("calendar queue scan overrun")
-
-    def _cal_policy(self) -> None:
-        """Content-driven resize check (deterministic: no wall clock).
-
-        - Many scanned empty slots per batch => buckets too narrow for
-          the event spacing: widen them.
-        - Large batches => buckets too wide: narrow them.
-        - More pending entries than slots => grow the ring.
-        """
-        scans = self._cal_scans
-        batches = self._cal_batches
-        popped = self._cal_popped
-        insorts = self._cal_insorts
-        self._cal_scans = 0
-        self._cal_batches = 0
-        self._cal_popped = 0
-        self._cal_insorts = 0
-        inv = self._cal_inv
-        nslots = self._cal_mask + 1
-        new_inv = inv
-        new_slots = nslots
-        if popped > 32 * batches and inv < 1.0 / _CAL_MIN_WIDTH:
-            new_inv = inv * 8.0
-        elif (insorts < batches and inv > 1.0 / _CAL_MAX_WIDTH
-                and (scans > 8 * batches or popped < 2 * batches)):
-            # Mostly-empty slot walks OR mostly-singleton batches:
-            # buckets are narrower than the event spacing, so every
-            # pop pays full refill overhead.  Widen toward the 2..32
-            # entries-per-batch band (the narrow rule above caps the
-            # other side, so the geometry cannot oscillate).  The
-            # insort guard keeps this from fighting _cal_retune.
-            new_inv = inv / 8.0
-        if self._cal_count > 4 * nslots and nslots < _CAL_MAX_SLOTS:
-            new_slots = nslots * 4
-        if new_inv != inv or new_slots != nslots:
-            self._cal_rebuild(new_inv, new_slots)
-
-    def _cal_regear(self) -> None:
-        """Re-gear the wheel when the overflow list dominates.
-
-        Overflow larger than both the ring and the in-wheel population
-        means the horizon is far too short for the pending
-        distribution — every further far-future insert pays an O(n)
-        insert and every refill an O(n) migration, which is quadratic
-        over a bulk pre-armed drain.  Rebuild with the ring grown
-        toward the pending count and the bucket width set so twice the
-        span to the farthest entry fits the ring (fresh timers near
-        the far edge still land inside the wheel).  Content-driven and
-        deterministic, like every other resize.
-        """
-        ow = self._cal_ow
-        span = ow[-1] - self.now
-        pending = (self._cal_count + len(ow)
-                   + len(self._cal_dw) - self._cal_due_idx)
-        nslots = self._cal_mask + 1
-        while nslots < _CAL_MAX_SLOTS and nslots < pending:
-            nslots *= 4
-        width = min(_CAL_MAX_WIDTH, max(_CAL_MIN_WIDTH,
-                                        2.0 * span / nslots))
-        inv = 1.0 / width
-        if inv != self._cal_inv or nslots != self._cal_mask + 1:
-            self._cal_rebuild(inv, nslots)
-        else:
-            # Geometry already clamped at its bounds: back off so the
-            # next attempt waits for the overflow to double (amortized
-            # O(1) per insert even in the clamped regime).
-            self._cal_over_limit = max(self._cal_over_limit,
-                                       2 * len(self._cal_ow))
-
-    def _cal_retune(self) -> None:
-        """Narrow the buckets when inserts keep landing at the cursor.
-
-        Inserts at or behind the cursor (due-insert path) mean delays
-        are shorter than one bucket width — the wheel is degenerating
-        into a single sorted list.  Narrowing restores O(1) bucket
-        inserts.  Triggered purely by insert counts: deterministic.
-        """
-        self._cal_insorts = 0
-        if self._cal_inv < 1.0 / _CAL_MIN_WIDTH:
-            self._cal_rebuild(self._cal_inv * 8.0, self._cal_mask + 1)
-
-    def _cal_rebuild(self, inv: float, nslots: int) -> None:
-        """Re-bucket every pending entry under a new geometry.
-
-        Order cannot change: entries re-sort by the same ``(time, seq)``
-        keys they already carry.  The sort runs in two stable passes
-        (seq, then when) over the parallel lists, which is exactly a
-        sort by ``(when, seq)`` without materialising key tuples.
-        """
-        idx = self._cal_due_idx
-        ew = self._cal_dw[idx:]
-        es = self._cal_ds[idx:]
-        ee = self._cal_de[idx:]
-        bs_all = self._cal_bs
-        be_all = self._cal_be
-        for j, bw in enumerate(self._cal_bw):
-            if bw:
-                ew.extend(bw)
-                es.extend(bs_all[j])
-                ee.extend(be_all[j])
-        order = sorted(range(len(ew)), key=es.__getitem__)
-        order.sort(key=ew.__getitem__)
-        # Overflow entries: sorted, and all later than every wheel/due
-        # entry (their slots sit beyond the horizon).
-        ow_old = self._cal_ow
-        os_old = self._cal_os
-        oe_old = self._cal_oe
-        mask = nslots - 1
-        self._cal_inv = inv
-        self._cal_mask = mask
-        bw_all = self._cal_bw = [[] for _ in range(nslots)]
-        bs_all = self._cal_bs = [[] for _ in range(nslots)]
-        be_all = self._cal_be = [[] for _ in range(nslots)]
-        dw = self._cal_dw = []
-        ds = self._cal_ds = []
-        de = self._cal_de = []
-        ow = self._cal_ow = []
-        os_ = self._cal_os = []
-        oe = self._cal_oe = []
-        self._cal_due_idx = 0
-        cur = self._cal_cur = int(self.now * inv)
-        horizon = cur + mask
-        count = 0
-        for i in order:
-            w = ew[i]
-            s = int(w * inv)
-            if s <= cur:
-                dw.append(w)
-                ds.append(es[i])
-                de.append(ee[i])
-            elif s <= horizon:
-                j = s & mask
-                bw_all[j].append(w)
-                bs_all[j].append(es[i])
-                be_all[j].append(ee[i])
-                count += 1
-            else:
-                ow.append(w)
-                os_.append(es[i])
-                oe.append(ee[i])
-        for i, w in enumerate(ow_old):
-            s = int(w * inv)
-            if s <= cur:
-                dw.append(w)
-                ds.append(os_old[i])
-                de.append(oe_old[i])
-            elif s <= horizon:
-                j = s & mask
-                bw_all[j].append(w)
-                bs_all[j].append(os_old[i])
-                be_all[j].append(oe_old[i])
-                count += 1
-            else:
-                ow.append(w)
-                os_.append(os_old[i])
-                oe.append(oe_old[i])
-        self._cal_count = count
-        # Whatever stayed beyond the new horizon was already weighed
-        # by the geometry choice; re-gear again only once the overflow
-        # doubles from here (or crosses the base threshold afresh).
-        self._cal_over_limit = max(_CAL_OVER_LIMIT0, 2 * len(ow))
 
     # -- running -----------------------------------------------------------
     def _pop_merged(self, until: float | None = None) -> Event | None:
@@ -1076,43 +364,6 @@ class Simulator:
         """
         runq = self._runq
         cancelled = self._cancelled
-        if self._cal_dw is not None:
-            while True:
-                dw = self._cal_dw
-                idx = self._cal_due_idx
-                if idx < len(dw):
-                    have = True
-                elif self._cal_count or self._cal_ow:
-                    have = self._cal_refill()
-                    if have:
-                        dw = self._cal_dw
-                        idx = self._cal_due_idx
-                else:
-                    have = False
-                if runq:
-                    if have:
-                        when = dw[idx]
-                        if when <= self.now and self._cal_ds[idx] < runq[0]._qseq:
-                            self._cal_due_idx = idx + 1
-                            event = self._cal_de[idx]
-                            if cancelled and event in cancelled:
-                                cancelled.discard(event)
-                                continue
-                            self.now = when
-                            return event
-                    return runq.popleft()
-                if have:
-                    when = dw[idx]
-                    if until is not None and when > until:
-                        return None
-                    self._cal_due_idx = idx + 1
-                    event = self._cal_de[idx]
-                    if cancelled and event in cancelled:
-                        cancelled.discard(event)
-                        continue
-                    self.now = when
-                    return event
-                return None
         heap = self._heap
         while True:
             if runq:
@@ -1167,11 +418,6 @@ class Simulator:
             raise SimulationError(f"until={until} is in the past (now={self.now})")
         if self._profiler is not None:
             return self._profiler.run(until)
-        if self._cal_dw is not None:
-            return self._run_calendar(until)
-        return self._run_heap(until)
-
-    def _run_heap(self, until: float | None) -> float:
         heap = self._heap
         runq = self._runq
         pool = self._timeout_pool
@@ -1185,7 +431,6 @@ class Simulator:
         heappop = heapq.heappop
         generic_process = Event._process
         resume = _events._RESUME
-        auto = self._auto
         # External drives (step/_pop_merged) do not maintain the merge
         # cache; re-verify on entry.
         self._timed_ready = True
@@ -1208,24 +453,10 @@ class Simulator:
                         self.now = when
                     else:
                         event = runq.popleft()
-                elif self._cal_dw is not None:
-                    # A dispatched callback bulk-armed timers and
-                    # adopted the calendar mid-drive: hand over before
-                    # declaring the (now empty) heap quiet — the
-                    # calendar may hold an entry due at this very
-                    # timestamp.
-                    return self._run_calendar(until)
                 else:
                     self._timed_ready = False
                     event = runq.popleft()
             elif heap:
-                if auto and len(heap) >= _AUTO_TIMERS:
-                    # Timer pressure crossed the threshold: adopt the
-                    # calendar wheel and hand the drive over (the local
-                    # ``heap`` alias was drained by the adopt, so this
-                    # loop could pop nothing more anyway).
-                    self._cal_adopt()
-                    return self._run_calendar(until)
                 when = heap[0][0]
                 if until is not None and when > until:
                     self.now = until
@@ -1240,14 +471,8 @@ class Simulator:
                 self._timed_ready = True
                 self.now = when
             else:
-                if self._cal_dw is not None:
-                    # A dispatched callback bulk-armed timers and
-                    # adopted the calendar mid-drive (emptying our
-                    # local heap alias): hand the drive over before
-                    # the epilogue touches the clock.
-                    return self._run_calendar(until)
                 break
-            # -- dispatch (shared with _run_calendar; keep in sync) -----
+            # -- dispatch -----------------------------------------------
             cls = type(event)
             if cls is Timeout:
                 event._processed = True
@@ -1374,249 +599,6 @@ class Simulator:
             self.now = until
         return self.now
 
-    def _run_calendar(self, until: float | None) -> float:
-        runq = self._runq
-        pool = self._timeout_pool
-        fpool = self._frame_pool
-        epool = self._event_pool
-        tlimit = self._timeout_limit
-        flimit = self._frame_limit
-        elimit = self._event_limit
-        crashed = self._crashed
-        cancelled = self._cancelled
-        refill = self._cal_refill
-        generic_process = Event._process
-        resume = _events._RESUME
-        # External drives (step/_pop_merged) do not maintain the merge
-        # cache; re-verify on entry.
-        self._timed_ready = True
-        while True:
-            # -- pop ----------------------------------------------------
-            if runq and not self._timed_ready:
-                # Zero-delay fast lane: every timed entry was verified
-                # to lie in the future (bucket/overflow entries always
-                # do — their slots trail the cursor by at least one —
-                # and the due front was checked), and dispatch cannot
-                # arm anything at or before ``now`` without flipping
-                # ``_timed_ready``.  One popleft, no timed probes.
-                event = runq.popleft()
-            else:
-                dw = self._cal_dw
-                idx = self._cal_due_idx
-                if idx < len(dw):
-                    have = True
-                elif (self._cal_count
-                        and self._cal_batches < _CAL_POLICY_BATCHES
-                        and (not (ow := self._cal_ow)
-                             or int(ow[0] * self._cal_inv)
-                             > self._cal_cur + self._cal_mask)):
-                    # Inlined _cal_refill scan fast path — no policy
-                    # check due and no overflow entry inside the wheel
-                    # horizon, so nothing to migrate (keep in sync with
-                    # refill): the scan below tops out at cur + mask,
-                    # strictly before the earliest overflow slot, so a
-                    # batch found here always sorts ahead of every
-                    # overflow entry.  Far-future timers (a sampler's
-                    # pre-armed tick chain) would otherwise park in
-                    # overflow for most of a run and force every batch
-                    # through the slow refill.
-                    inv = self._cal_inv
-                    mask = self._cal_mask
-                    bw_all = self._cal_bw
-                    cur = self._cal_cur
-                    scans = 0
-                    while True:
-                        j = cur & mask
-                        bw = bw_all[j]
-                        if bw and int(bw[0] * inv) <= cur:
-                            bs_all = self._cal_bs
-                            be_all = self._cal_be
-                            k = len(bw)
-                            # Steal the bucket's sorted triple as the
-                            # due batch; the spent due lists (cleared)
-                            # become the empty bucket.  No sort, no
-                            # allocation.
-                            sw, ss, se = dw, self._cal_ds, self._cal_de
-                            del sw[:]
-                            del ss[:]
-                            del se[:]
-                            self._cal_dw = dw = bw
-                            self._cal_ds = bs_all[j]
-                            self._cal_de = be_all[j]
-                            bw_all[j] = sw
-                            bs_all[j] = ss
-                            be_all[j] = se
-                            self._cal_due_idx = idx = 0
-                            self._cal_count -= k
-                            self._cal_cur = cur
-                            self._cal_scans += scans
-                            self._cal_batches += 1
-                            self._cal_popped += k
-                            have = True
-                            break
-                        cur += 1
-                        scans += 1
-                        if scans > mask + 1:  # pragma: no cover
-                            raise SimulationError(
-                                "calendar queue scan overrun")
-                elif self._cal_count or self._cal_ow:
-                    have = refill()
-                    if have:
-                        dw = self._cal_dw
-                        idx = self._cal_due_idx
-                else:
-                    have = False
-                if runq:
-                    if have:
-                        when = dw[idx]
-                        if when <= self.now:
-                            if self._cal_ds[idx] < runq[0]._qseq:
-                                self._cal_due_idx = idx + 1
-                                event = self._cal_de[idx]
-                                if cancelled and event in cancelled:
-                                    cancelled.discard(event)
-                                    continue
-                                self.now = when
-                            else:
-                                event = runq.popleft()
-                        else:
-                            self._timed_ready = False
-                            event = runq.popleft()
-                    else:
-                        self._timed_ready = False
-                        event = runq.popleft()
-                elif have:
-                    when = dw[idx]
-                    if until is not None and when > until:
-                        self.now = until
-                        return until
-                    self._cal_due_idx = idx + 1
-                    event = self._cal_de[idx]
-                    if cancelled and event in cancelled:
-                        cancelled.discard(event)
-                        continue
-                    # The clock advance can move further timed entries
-                    # into the past relative to fresh run-queue events:
-                    # re-arm the merge check.
-                    self._timed_ready = True
-                    self.now = when
-                else:
-                    break
-            # -- dispatch (mirror of _run_heap; keep in sync) -----------
-            cls = type(event)
-            if cls is Timeout:
-                event._processed = True
-                cb0 = event._cb0
-                if cb0 is None:
-                    continue
-                event._cb0 = None
-                if (event._callbacks is None
-                        and getattr(cb0, "__func__", None) is resume):
-                    value = event._value
-                    if len(pool) < tlimit:
-                        pool.append(event)
-                else:
-                    event._had_joiners = True
-                    callbacks = event._callbacks
-                    if callbacks is None:
-                        cb0(event)
-                    else:
-                        event._callbacks = None
-                        cb0(event)
-                        for callback in callbacks:
-                            callback(event)
-                    continue
-            elif cls is _Frame:
-                event._processed = True
-                cb0 = event._cb0
-                if cb0 is None:
-                    continue
-                event._cb0 = None
-                value = None
-                if len(fpool) < flimit:
-                    event._processed = False
-                    fpool.append(event)
-            elif cls._process is generic_process:
-                event._processed = True
-                cb0 = event._cb0
-                if cb0 is not None:
-                    event._cb0 = None
-                    event._had_joiners = True
-                    callbacks = event._callbacks
-                    if (callbacks is None and event._exc is None
-                            and getattr(cb0, "__func__", None) is resume):
-                        value = event._value
-                        if cls is Event and len(epool) < elimit:
-                            # See _run_heap: sole-consumer resume ends
-                            # the event's life; clear the payload and
-                            # recycle.
-                            event._value = None
-                            epool.append(event)
-                    else:
-                        if callbacks is None:
-                            cb0(event)
-                        else:
-                            event._callbacks = None
-                            cb0(event)
-                            for callback in callbacks:
-                                callback(event)
-                        if crashed and isinstance(event, Process):
-                            crash = crashed.pop(event.pid, None)
-                            if crash is not None and not event._had_joiners:
-                                raise crash
-                        continue
-                else:
-                    event._had_joiners = False
-                    if crashed and isinstance(event, Process):
-                        crash = crashed.pop(event.pid, None)
-                        if crash is not None:
-                            raise crash
-                    continue
-            else:
-                event._process()
-                if crashed and isinstance(event, Process):
-                    crash = crashed.pop(event.pid, None)
-                    if crash is not None and not event._had_joiners:
-                        raise crash
-                continue
-            # -- inlined Process._resume success path -------------------
-            proc = cb0.__self__
-            if proc._triggered:
-                continue
-            proc._waiting_on = None
-            self._active_process = proc
-            try:
-                target = proc.body.send(value)
-            except StopIteration as stop:
-                self._active_process = None
-                proc._presume = None
-                proc.succeed(stop.value)
-                continue
-            except BaseException as exc:  # noqa: BLE001 - fail the process
-                self._active_process = None
-                proc._fail_with(exc)
-                continue
-            self._active_process = None
-            proc._started = True
-            if target.__class__ is Timeout or isinstance(target, Event):
-                if target.sim is self:
-                    proc._waiting_on = target
-                    if target._cb0 is None and not target._processed:
-                        target._cb0 = cb0
-                    else:
-                        target.add_callback(cb0)
-                    continue
-                proc._throw_in(SimulationError(
-                    f"process {proc.name} yielded a foreign event"
-                ))
-                continue
-            proc._throw_in(SimulationError(
-                f"process {proc.name} yielded {target!r}; expected an Event"
-            ))
-        if until is not None:
-            self.now = until
-        return self.now
-
     def run_process(self, body: ProcessBody, name: str = "") -> typing.Any:
         """Spawn ``body``, run the simulation, return the process result.
 
@@ -1638,9 +620,4 @@ class Simulator:
         Cancelled-but-not-yet-popped events still occupy queue slots;
         they are excluded here because they will never fire.
         """
-        if self._cal_dw is not None:
-            timed = (self._cal_count + len(self._cal_ow)
-                     + len(self._cal_dw) - self._cal_due_idx)
-        else:
-            timed = len(self._heap)
-        return timed + len(self._runq) - len(self._cancelled)
+        return len(self._heap) + len(self._runq) - len(self._cancelled)

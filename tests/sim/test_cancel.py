@@ -96,18 +96,20 @@ def test_run_until_past_raises():
         sim.run(until=0.5)
 
 
-@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
-def test_cancel_heavy_run_keeps_queue_bounded(scheduler):
+@pytest.mark.parametrize("queue", ["heap"])
+def test_cancel_heavy_run_keeps_queue_bounded(queue):
     """Lazy cancellation must not grow the timed queue without bound.
 
     A pause/resume-heavy caller (the telemetry sampler) cancels far
     more timers than it fires; compaction has to keep both the
     cancelled set and the queue proportional to the *live* entries,
-    not to the total ever cancelled.
+    not to the total ever cancelled.  ``queue`` names the raw
+    container whose length is checked, cancelled entries included.
     """
     from repro.sim.core import _COMPACT_MIN_CANCELLED
 
-    sim = Simulator(seed=1, scheduler=scheduler)
+    sim = Simulator(seed=1)
+    timed = getattr(sim, f"_{queue}")
     keep = [sim.timeout(10.0 + i * 1e-3) for i in range(32)]
     for round_ in range(50):
         doomed = [sim.timeout(1.0 + i * 1e-4) for i in range(100)]
@@ -122,7 +124,34 @@ def test_cancel_heavy_run_keeps_queue_bounded(scheduler):
     # 5000 cancels later the queue holds ~the 32 live timers.
     assert sim.queued_events == 32
     assert len(sim._cancelled) < 5000 / 4
+    assert len(timed) < 32 + 5000 / 4
     sim.run()
     assert all(ev.processed for ev in keep)
     assert sim.now == pytest.approx(10.0 + 31 * 1e-3)
+    assert not sim._cancelled
+
+
+def test_compaction_inside_run_keeps_the_running_queue():
+    """Compaction triggered from inside ``run()`` must rebuild the heap
+    the running loop pops from, not a replacement list it never sees.
+
+    The process cancels enough of its own timers to trigger compaction
+    mid-run.  The cancelled timers must stay cancelled, and the
+    process's next timeout must still be popped.
+    """
+    sim = Simulator(seed=1)
+    fired = []
+
+    def body():
+        timers = [sim.timeout(1.0 + i * 1e-3) for i in range(100)]
+        for i, ev in enumerate(timers):
+            ev.add_callback(lambda _ev, i=i: fired.append(i))
+        for ev in timers[:80]:
+            sim.cancel(ev)
+        yield sim.all_of(timers[80:])
+        yield sim.timeout(5.0)
+        return sim.now
+
+    assert sim.run_process(body()) == pytest.approx(1.099 + 5.0)
+    assert fired == list(range(80, 100))
     assert not sim._cancelled

@@ -7,9 +7,8 @@ workload, ``Simulator(pooling=True)`` and ``Simulator(pooling=False)``
 produce the *same* pop/dispatch stream (same clock values, same
 payloads, same order), and a recycled object can never leak state
 from its previous life.  These tests drive randomised schedule /
-cancel / kill storms through both configurations (and across timed-
-queue backends) and compare streams, plus direct stale-reuse
-regression checks.
+cancel / kill storms through both configurations and compare streams,
+plus direct stale-reuse regression checks.
 """
 
 import pytest
@@ -22,14 +21,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 
-def run_storm(pooling, scheduler, plan):
+def run_storm(pooling, plan):
     """Run a schedule/cancel/kill storm; return the observation stream.
 
     ``plan`` is a list of per-worker op tuples; every observable step
     appends ``(sim.now, worker, op_index, payload)``.  The stream is a
-    pure function of the plan — pooling and backend must not show.
+    pure function of the plan — pooling must not show.
     """
-    sim = Simulator(seed=11, scheduler=scheduler, pooling=pooling)
+    sim = Simulator(seed=11, pooling=pooling)
     device = PriorityResource(sim, capacity=2, name="dev")
     out = []
     procs = {}
@@ -95,10 +94,7 @@ _PLAN = st.lists(
 @settings(max_examples=40, deadline=None)
 @given(plan=_PLAN)
 def test_pooled_equals_unpooled_random_storms(plan):
-    reference = run_storm(pooling=False, scheduler="heap", plan=plan)
-    for scheduler in ("auto", "calendar", "heap"):
-        assert run_storm(True, scheduler, plan) == reference
-    assert run_storm(False, "calendar", plan) == reference
+    assert run_storm(True, plan) == run_storm(False, plan)
 
 
 def test_pooled_equals_unpooled_cancel_storm():
@@ -222,57 +218,3 @@ def test_pooling_off_never_pools():
     assert sim._event_pool == []
     assert sim._timeout_pool == []
     assert sim._frame_pool == []
-
-
-# -- auto scheduler -------------------------------------------------------
-def test_auto_adopts_calendar_under_timer_pressure():
-    sim = Simulator(seed=1, scheduler="auto")
-    assert sim.active_scheduler == "heap"
-    sim.schedule_many(delays=[(i % 97 + 1) * 1e-6 for i in range(1000)])
-    assert sim.active_scheduler == "calendar"
-    assert sim.scheduler == "auto"
-    sim.run()
-
-
-def test_auto_stays_on_heap_under_low_pressure():
-    sim = Simulator(seed=1, scheduler="auto")
-
-    def body():
-        for _ in range(50):
-            yield sim.timeout(1e-6)
-
-    sim.run_process(body())
-    assert sim.active_scheduler == "heap"
-
-
-def test_auto_stream_identical_across_adoption():
-    """The drain stream must be identical whether the backend is heap,
-    calendar, or auto switching between them mid-run."""
-
-    def stream(scheduler):
-        sim = Simulator(seed=9, scheduler=scheduler)
-        out = []
-
-        def armer():
-            yield sim.timeout(5e-4)
-            ticks = sim.schedule_many(
-                delays=[(i * 13 % 211 + 1) * 1e-6 for i in range(1500)]
-            )
-            for t in ticks:
-                if not t.processed:
-                    yield t
-            out.append(("drained", round(sim.now, 12)))
-
-        def ticker():
-            for i in range(100):
-                yield sim.timeout(29e-6)
-                out.append((round(sim.now, 12), i))
-
-        sim.spawn(armer())
-        sim.spawn(ticker())
-        sim.run()
-        return out
-
-    reference = stream("heap")
-    assert stream("calendar") == reference
-    assert stream("auto") == reference

@@ -1,13 +1,15 @@
-"""Differential property tests: calendar backend ≡ heap backend.
+"""Property tests: the engine's pop stream against a sorted-list oracle.
 
-The calendar queue replaced the binary heap as the default timed-queue
-backend, with a hard contract: for any sequence of schedule / cancel /
-pop operations both backends produce the *same* pop stream — same
-clock values, same payloads, same order.  These tests drive randomised
-operation sequences (hypothesis) plus the known-nasty shapes (timer
-storms, far-future overflow, the lost-event regression) through both
-backends and compare streams.
+The timed queue's contract is plain: every scheduled timer fires at
+``now + delay`` in ``(time, seq)`` order, run-queue and heap merged, and
+a cancelled positive-delay timer never fires and never moves the clock.
+These tests drive randomised operation sequences (hypothesis) plus the
+known-nasty shapes (timer storms, far-future timers, the lost-event
+regression) through the engine and through a plain sorted list of
+``(now + delay, seq)`` rows, and compare the two pop streams.
 """
+
+import bisect
 
 import pytest
 
@@ -17,14 +19,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 
-def drive(scheduler, ops):
+def drive(ops):
     """Apply an op sequence to a fresh simulator; return the pop stream.
 
     Ops: ``("t", delay)`` schedules a timeout; ``("c", i)`` cancels the
     i-th (mod len) not-yet-fired timer scheduled so far; ``("p", n)``
     pops up to n events.  Whatever remains is drained at the end.
     """
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     scheduled = []
     popped = []
     count = 0
@@ -55,13 +57,50 @@ def drive(scheduler, ops):
     return popped
 
 
-def assert_backends_agree(ops):
-    assert drive("calendar", ops) == drive("heap", ops)
+def oracle(ops):
+    """The same op sequence against a sorted list of ``(when, seq)`` rows.
+
+    ``cancel`` removes positive-delay rows only: zero-delay events sit
+    in the run queue, which :meth:`Simulator.cancel` documents as
+    never skipped.
+    """
+    now = 0.0
+    rows = []
+    scheduled = []
+    popped = []
+
+    def pop_one():
+        nonlocal now
+        if not rows:
+            return False
+        now, seq = rows.pop(0)
+        popped.append((now, seq))
+        return True
+
+    for kind, arg in ops:
+        if kind == "t":
+            row = (now + arg, len(scheduled))
+            bisect.insort(rows, row)
+            scheduled.append((row, arg))
+        elif kind == "c" and scheduled:
+            row, delay = scheduled[arg % len(scheduled)]
+            if delay > 0 and row in rows:
+                rows.remove(row)
+        elif kind == "p":
+            for _ in range(arg):
+                if not pop_one():
+                    break
+    while pop_one():
+        pass
+    return popped
 
 
-#: Delay magnitudes straddle the calendar's initial bucket width
-#: (80 us), its horizon, and the overflow list: sub-bucket, in-window,
-#: and far-future entries all occur in one sequence.
+def assert_matches_oracle(ops):
+    assert drive(ops) == oracle(ops)
+
+
+#: Zero, sub-100 us, sub-second and far-future (up to 500 s) delays
+#: all occur in one sequence.
 _DELAYS = st.one_of(
     st.floats(min_value=0.0, max_value=1e-4,
               allow_nan=False, allow_infinity=False),
@@ -85,24 +124,21 @@ _OPS = st.lists(
 @settings(max_examples=80, deadline=None)
 @given(ops=_OPS)
 def test_random_schedule_cancel_pop_streams_identical(ops):
-    assert_backends_agree(ops)
+    assert_matches_oracle(ops)
 
 
 def test_lost_event_regression():
     """The minimal sequence that once lost an event: a far-future
-    timeout forces a jump to the overflow list, its cancellation is
-    lazily skipped *without advancing the clock*, and a subsequent
-    near-term timeout must not insort into the already-spent prefix of
-    the due batch (where no pop would ever read it again)."""
-    assert_backends_agree([
+    timeout is cancelled and lazily skipped *without advancing the
+    clock*, and a subsequent near-term timeout must still fire."""
+    assert_matches_oracle([
         ("t", 454.387), ("c", 0), ("p", 7), ("t", 0.347),
     ])
 
 
 def test_timer_storm_identical():
     # Thousands of pending timers across every delay regime, popped in
-    # interleaved bursts — the calendar's resize policy fires several
-    # times along the way.
+    # interleaved bursts.
     ops = []
     for i in range(2000):
         ops.append(("t", (i * 37 % 1000) * 1.7e-6))
@@ -112,25 +148,36 @@ def test_timer_storm_identical():
             ops.append(("p", 4))
         if i % 11 == 0:
             ops.append(("c", i * 13))
-    assert_backends_agree(ops)
+    assert_matches_oracle(ops)
 
 
 def test_far_future_overflow_identical():
-    # Everything lands beyond the initial calendar horizon; pops must
-    # migrate overflow entries batch by batch in heap order.
+    # Hundreds of far-future timers, some cancelled and half popped,
+    # then near-term timers armed from the advanced clock.
     ops = [("t", 100.0 + (i * 57 % 113) * 3.3) for i in range(300)]
     ops += [("c", i * 7) for i in range(40)]
     ops.append(("p", 100))
     ops += [("t", (i * 29 % 41) * 0.01) for i in range(50)]
-    assert_backends_agree(ops)
+    assert_matches_oracle(ops)
+
+
+def test_compaction_matches_oracle():
+    # Enough cancels to compact the heap several times between pops.
+    ops = [("t", (i * 37 % 101) * 0.01) for i in range(400)]
+    for i in range(300):
+        ops.append(("c", i * 7))
+        if i % 50 == 0:
+            ops.append(("p", 3))
+    ops += [("t", (i * 29 % 41) * 0.01) for i in range(50)]
+    assert_matches_oracle(ops)
 
 
 def test_schedule_many_matches_sequential_timeouts():
     """Bulk scheduling is bit-identical to a loop of sim.timeout()."""
     delays = [(i * 37 % 1000) * 1.7e-5 for i in range(500)]
 
-    def stream(bulk, scheduler):
-        sim = Simulator(scheduler=scheduler)
+    def stream(bulk):
+        sim = Simulator()
         if bulk:
             sim.schedule_many(delays)
         else:
@@ -144,9 +191,7 @@ def test_schedule_many_matches_sequential_timeouts():
             out.append(sim.now)
             ev._process()
 
-    reference = stream(bulk=False, scheduler="heap")
-    for scheduler in ("calendar", "heap"):
-        assert stream(bulk=True, scheduler=scheduler) == reference
+    assert stream(bulk=True) == stream(bulk=False)
 
 
 def test_schedule_many_absolute_matches_cumulative_chain():

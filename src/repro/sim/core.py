@@ -28,10 +28,19 @@ Engine layout (the hot path of every experiment in the repo):
   consumer was a process resume (see :mod:`repro.sim.events` for the
   pooling contract).  ``Simulator(pooling=False)`` disables every pool
   for differential testing.
+- :meth:`Simulator.run` switches Python's cyclic garbage collector off
+  while its loop runs and restores the caller's setting on exit.  The
+  engine and the campaign request path create no reference cycles
+  (see ``docs/ARCHITECTURE.md``, "Correctness machinery"), so
+  reference counting frees everything a run drops, and the collector
+  would only re-walk the in-flight generators at every young
+  collection.  A cycle that a process body builds itself waits for
+  the collector's first pass after ``run()`` returns.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import typing
 from collections import deque
@@ -154,7 +163,7 @@ class Simulator:
         """
         pool = self._timeout_pool
         if pool:
-            # _rearm + _schedule unrolled: one call layer per timeout
+            # Reset + _schedule unrolled: one call layer per timeout
             # matters at hundreds of thousands of timeouts per run.
             timeout = pool.pop()
             if delay < 0:
@@ -237,7 +246,6 @@ class Simulator:
                 timeout._processed = False
                 timeout._had_joiners = False
                 timeout.delay = delay
-                timeout._reusable = False
             if delay == 0.0:
                 seq = timeout._qseq = seq + 1
                 runq.append(timeout)
@@ -343,11 +351,6 @@ class Simulator:
             heapq.heapify(heap)
             cancelled.difference_update(removed)
 
-    def _next_process_id(self) -> int:
-        """Monotonic process id, assigned in spawn order (deterministic)."""
-        self._next_pid += 1
-        return self._next_pid
-
     def _note_crash(self, process: Process, exc: BaseException) -> None:
         self._crashed[process.pid] = exc
 
@@ -408,16 +411,32 @@ class Simulator:
     def run(self, until: float | None = None) -> float:
         """Run until the queue drains or the clock passes ``until``.
 
-        Returns the final simulation time.  This is the engine's inner
-        loop: the pop is inlined (no per-event ``step()`` call), pooled
+        Returns the final simulation time.  The cyclic garbage
+        collector is off while the loop runs, profiled or not, and the
+        caller's setting is restored on every exit, including a raised
+        crash.  Nothing is collected on exit (see the module docstring
+        for why none of this needs the collector).
+        """
+        if until is not None and until < self.now:
+            raise SimulationError(f"until={until} is in the past (now={self.now})")
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            if self._profiler is not None:
+                return self._profiler.run(until)
+            return self._loop(until)
+        finally:
+            if collecting:
+                gc.enable()
+
+    def _loop(self, until: float | None) -> float:
+        """The engine's inner loop behind :meth:`run`.
+
+        The pop is inlined (no per-event ``step()`` call), pooled
         timeouts, bootstrap frames and generic events are recycled
         here, and the dominant dispatch — resume a waiting process
         generator — is inlined down to the ``generator.send`` call.
         """
-        if until is not None and until < self.now:
-            raise SimulationError(f"until={until} is in the past (now={self.now})")
-        if self._profiler is not None:
-            return self._profiler.run(until)
         heap = self._heap
         runq = self._runq
         pool = self._timeout_pool

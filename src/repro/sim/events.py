@@ -181,48 +181,16 @@ class Timeout(Event):
     pooling contract).
     """
 
-    __slots__ = ("delay", "_reusable")
+    __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: typing.Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         super().__init__(sim)
         self.delay = delay
-        self._reusable = False
         self._triggered = True
         self._value = value
         sim._schedule(self, delay)
-
-    def _rearm(self, delay: float, value: typing.Any) -> None:
-        """Reset a pooled instance for reuse (Simulator.timeout only)."""
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
-        self.delay = delay
-        self._value = value
-        self._processed = False
-        self._had_joiners = False
-        # _cb0/_callbacks are already None (cleared by _process) and
-        # _exc is always None for timeouts; _triggered stayed True.
-        self.sim._schedule(self, delay)
-
-    def _process(self) -> None:
-        self._processed = True
-        cb0, self._cb0 = self._cb0, None
-        self._had_joiners = cb0 is not None
-        if cb0 is not None:
-            callbacks, self._callbacks = self._callbacks, None
-            # Poolable iff the sole consumer is a process resume: the
-            # generator received the value and, per the yield contract,
-            # holds no further interest in this object.
-            self._reusable = (
-                callbacks is None
-                and _RESUME is not None
-                and getattr(cb0, "__func__", None) is _RESUME
-            )
-            cb0(self)
-            if callbacks is not None:
-                for callback in callbacks:
-                    callback(self)
 
 
 class _Frame(Event):

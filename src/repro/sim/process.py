@@ -43,7 +43,6 @@ class Process(Event):
         self.name = name or getattr(body, "__name__", "process")
         #: Monotonic spawn-order id; the deterministic identity used
         #: for crash bookkeeping (an ``id()`` key would vary by run).
-        #: (``sim._next_process_id()`` unrolled — one call per spawn.)
         sim._next_pid = self.pid = sim._next_pid + 1
         self._waiting_on: Event | None = None
         self._started = False
@@ -158,8 +157,20 @@ class Process(Event):
             self.sim._active_process = None
 
     def _fail_with(self, exc: BaseException) -> None:
-        """Record generator failure; escalate if nobody is joining us."""
+        """Record generator failure; escalate if nobody is joining us.
+
+        A :class:`ProcessKilled` loses its traceback here.  The engine
+        frame that caught it (``_throw_in``, ``_resume`` or the run
+        loop) holds both this process and the exception, so keeping
+        the traceback would tie the killed process, its generator
+        frames and its sub-flows into a cycle that only the garbage
+        collector could free.  A kill is a deliberate stop, not a
+        crash; every other exception keeps its traceback for the crash
+        report.
+        """
         self._presume = None
+        if isinstance(exc, ProcessKilled):
+            exc.__traceback__ = None
         self.fail(exc)
         self.sim._note_crash(self, exc)
 

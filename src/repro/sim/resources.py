@@ -41,7 +41,10 @@ class Grant(Event):
     releases in a ``finally`` and drops the handle, so a released
     grant is dead to its holder.  Re-reading a grant after releasing
     it is outside the pooling contract (``Simulator(pooling=False)``
-    disables the pool for differential testing).
+    disables the pool for differential testing).  Releasing a
+    processed grant clears its value, pooled or not: the value is the
+    grant itself, and a grant left pointing at itself could only be
+    freed by the cyclic garbage collector.
     """
 
     __slots__ = ("resource", "priority", "released")
@@ -150,14 +153,16 @@ class PriorityResource:
             sim._runq.append(next_grant)
         else:
             self._in_use -= 1
-        if grant._processed and len(self._grant_pool) < self._grant_limit:
+        if grant._processed:
             # Processed + released: the handle is dead to its holder
-            # (see the Grant docstring).  An unprocessed grant — e.g.
-            # released while still pending in the run queue — is never
-            # pooled, so the dispatch it still owes stays safe.  Break
-            # the self-referential value so pooled grants are inert.
+            # (see the Grant docstring), so drop the self-reference
+            # even when the pool is full.  An unprocessed grant — e.g.
+            # released while still pending in the run queue — keeps its
+            # value and is never pooled, so the dispatch it still owes
+            # stays safe.
             grant._value = None
-            self._grant_pool.append(grant)
+            if len(self._grant_pool) < self._grant_limit:
+                self._grant_pool.append(grant)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

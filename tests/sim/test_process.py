@@ -1,9 +1,13 @@
 """Unit tests for simulated processes."""
 
+import gc
+
 import pytest
 
 from repro.errors import ProcessKilled, SimulationError
 from repro.sim import Simulator
+
+from ..gcutil import collector, cyclic_garbage
 
 
 def test_process_runs_and_returns_value():
@@ -132,6 +136,43 @@ def test_kill_finished_process_is_noop():
         return proc.value
 
     assert sim.run_process(parent()) == 1
+
+
+def test_a_killed_process_leaves_no_cycle():
+    # The frame that catches the kill holds both the process and the
+    # exception, so the kill's traceback must not be kept.
+    sim = Simulator()
+
+    def victim():
+        yield sim.timeout(100.0)
+
+    def killer(proc):
+        yield sim.timeout(2.0)
+        proc.kill()
+
+    proc = sim.spawn(victim())
+    proc.add_callback(lambda _event: None)  # joined: the kill is no crash
+    sim.spawn(killer(proc))
+    gc.collect()
+    with collector(False):
+        sim.run()
+        assert isinstance(proc.exception, ProcessKilled)
+        assert proc.exception.__traceback__ is None
+        del proc
+        assert cyclic_garbage() == {}
+
+
+def test_a_crash_keeps_its_traceback():
+    sim = Simulator()
+
+    def crasher():
+        yield sim.timeout(1.0)
+        raise ValueError("boom")
+
+    sim.spawn(crasher())
+    with pytest.raises(ValueError) as excinfo:
+        sim.run()
+    assert "crasher" in [entry.name for entry in excinfo.traceback]
 
 
 def test_yielding_non_event_is_an_error():

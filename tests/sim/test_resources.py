@@ -1,10 +1,14 @@
 """Unit tests for PriorityResource and Store."""
 
+import gc
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim import PriorityResource, Simulator, Store
 from repro.sim.resources import PRIORITY_LOW, PRIORITY_NORMAL
+
+from ..gcutil import collector, cyclic_garbage
 
 
 def test_resource_serialises_access():
@@ -150,6 +154,28 @@ def test_queue_length_tracks_waiters():
         yield sim.all_of(procs)
 
     sim.run_process(parent())
+
+
+def test_grants_released_past_a_full_pool_leave_no_cycles():
+    # 200 holders of a capacity-100 resource release 200 grants, more
+    # than its grant pool keeps; the rest must die by reference count.
+    sim = Simulator()
+    res = PriorityResource(sim, capacity=100)
+
+    def holder():
+        grant = yield res.acquire()
+        try:
+            yield sim.timeout(1.0)
+        finally:
+            res.release(grant)
+
+    for _ in range(200):
+        sim.spawn(holder())
+    gc.collect()
+    with collector(False):
+        sim.run()
+        assert cyclic_garbage() == {}
+    assert sim.now == 2.0
 
 
 def test_store_fifo_order():

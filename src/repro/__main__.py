@@ -57,7 +57,7 @@ def _print_comparison(stock, s4d) -> None:
 
 def cmd_compare(args) -> int:
     from .cliutil import store_from
-    from .parallel import fanout
+    from .parallel import steal_fanout
     from .parallel.store import config_digest
     from .parallel.workers import run_compare_task
 
@@ -83,15 +83,17 @@ def cmd_compare(args) -> int:
     def run():
         # The stock and S4D campaigns are independent simulations;
         # with --jobs 2 they run side by side (identical output either
-        # way — fanout's merge is positional).  The content-addressed
-        # digest is taken over the *built* spec and workload, so flag
-        # spellings ("16KB" vs 16384) collide onto one cache entry.
+        # way — steal_fanout's merge is positional).  The
+        # content-addressed digest is taken over the *built* spec and
+        # workload, so flag spellings ("16KB" vs 16384) collide onto
+        # one cache entry.
         tasks = [("stock", (flags, False)), ("s4d", (flags, True))]
         if store is None:
-            return fanout(
+            results, _ = steal_fanout(
                 tasks, run_compare_task, jobs=jobs,
                 progress=lambda msg: print(msg, flush=True),
             )
+            return results
         digests = {
             task_id: config_digest(
                 kind="compare", spec=spec, workload=workload, s4d=s4d
@@ -102,13 +104,11 @@ def cmd_compare(args) -> int:
             (task_id, payload) for task_id, payload in tasks
             if digests[task_id] not in store
         ]
-        fresh = dict(zip(
-            (task_id for task_id, _ in pending),
-            fanout(
-                pending, run_compare_task, jobs=jobs,
-                progress=lambda msg: print(msg, flush=True),
-            ),
-        ))
+        values, _ = steal_fanout(
+            pending, run_compare_task, jobs=jobs,
+            progress=lambda msg: print(msg, flush=True),
+        )
+        fresh = dict(zip((task_id for task_id, _ in pending), values))
         merged = []
         for task_id, _ in tasks:
             if task_id in fresh:

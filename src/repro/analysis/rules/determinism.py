@@ -133,7 +133,7 @@ class CpuCountRule(Rule):
     rationale = (
         "os.cpu_count()/sched_getaffinity() differ across hosts; results "
         "must be --jobs-invariant, so core counts may only size worker "
-        "pools (repro.parallel.pool, with an inline disable)"
+        "pools (repro.parallel.stealing, with an inline disable)"
     )
 
     def visit_Call(self, node: ast.Call) -> None:

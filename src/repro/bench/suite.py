@@ -414,10 +414,10 @@ def run_suite(
     if unknown:
         raise ValueError(f"unknown benchmarks {unknown}; have {suite_names()}")
     if jobs is not None and jobs != 1 and len(names) > 1:
-        from ..parallel import fanout
+        from ..parallel import steal_fanout
         from ..parallel.workers import run_bench_task
 
-        results = fanout(
+        results, _ = steal_fanout(
             [(name, (name, scale, repeats)) for name in names],
             run_bench_task,
             jobs=jobs,

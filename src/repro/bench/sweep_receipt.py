@@ -44,16 +44,14 @@ def _run_pass(
     Returns ``(wall, digests, steal_stats_per_group, hits, misses)``.
     """
     from ..experiments import harness
-    from ..parallel import run_sweep_with_stats
+    from ..parallel import run_sweep
 
     hits0, misses0 = store.hits, store.misses
     digests: dict[str, str] = {}
     drains: list[dict] = []
     t0 = time.perf_counter()
     for scale, only in SWEEP_GROUPS:
-        results, stats = run_sweep_with_stats(
-            only, scale, jobs=jobs, store=store
-        )
+        results, stats = run_sweep(only, scale, jobs=jobs, store=store)
         if stats is not None:
             drains.append(dict(stats.as_dict(), scale=scale))
         for exp_id, result in results.items():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from ..core.policy import make_policy
 from ..devices import HDDSpec, SSDSpec
 from ..errors import ConfigError
 from ..network import NetworkSpec
@@ -70,6 +71,18 @@ class ClusterSpec:
             raise ConfigError("cache_capacity must be >= 0")
         if self.d_stripe < 1 or self.c_stripe < 1:
             raise ConfigError("stripe sizes must be positive")
+        for cost in (
+            "server_overhead", "lookup_overhead", "metadata_sync_cost"
+        ):
+            if getattr(self, cost) < 0:
+                raise ConfigError(f"{cost} must be >= 0")
+        if self.rebuild_interval <= 0:
+            raise ConfigError("rebuild_interval must be positive")
+        if self.rebuild_budget < 1:
+            raise ConfigError("rebuild_budget must be >= 1")
+        if self.metadata_shards < 1:
+            raise ConfigError("metadata_shards must be >= 1")
+        make_policy(self.policy)  # raises ConfigError on a bad spec
 
     @classmethod
     def paper_testbed(cls, **overrides) -> "ClusterSpec":

@@ -2,33 +2,31 @@
 
 Public surface:
 
-- :func:`fanout` / :func:`resolve_jobs` — the ordered-merge worker
-  pool (``repro.parallel.pool``);
-- :func:`steal_fanout` / :class:`StealStats` — the dynamic
-  work-stealing drain: one shared queue of per-config units, greedy
-  workers, positional merge (``repro.parallel.stealing``);
+- :func:`steal_fanout` / :class:`StealStats` / :func:`resolve_jobs` —
+  the one fan-out engine: a single shared queue of tasks drained
+  greedily by spawn workers, merged positionally
+  (``repro.parallel.stealing``);
 - :class:`ResultStore` / :func:`config_digest` /
   :func:`code_fingerprint` — the content-addressed sweep result cache
   keyed by (canonical config digest, comment-blind code fingerprint)
   (``repro.parallel.store``);
-- :func:`run_sweep` / :func:`run_sweep_with_stats` — the experiment
-  sweep on top of both layers; :func:`run_sharded` /
-  :func:`share_groups` keep the legacy memoisation-preserving
-  module-group sharding (``repro.parallel.experiments``);
+- :func:`run_sweep` — the experiment sweep on top of both layers
+  (``repro.parallel.experiments``);
 - :class:`~repro.errors.WorkerCrashError` — re-exported for callers
   that want to catch crashes without importing :mod:`repro.errors`.
 """
 
 from ..errors import ParallelError, WorkerCrashError
-from .experiments import (
-    run_sharded,
-    run_sweep,
-    run_sweep_with_stats,
-    share_groups,
-    unit_digest,
+from .experiments import run_sweep, unit_digest
+from .stealing import (
+    StealStats,
+    Task,
+    Worker,
+    WorkerStats,
+    os_cpu_count,
+    resolve_jobs,
+    steal_fanout,
 )
-from .pool import Task, Worker, fanout, os_cpu_count, resolve_jobs
-from .stealing import StealStats, WorkerStats, steal_fanout
 from .store import ResultStore, code_fingerprint, config_digest
 
 __all__ = [
@@ -41,13 +39,9 @@ __all__ = [
     "WorkerStats",
     "code_fingerprint",
     "config_digest",
-    "fanout",
     "os_cpu_count",
     "resolve_jobs",
-    "run_sharded",
     "run_sweep",
-    "run_sweep_with_stats",
-    "share_groups",
     "steal_fanout",
     "unit_digest",
 ]

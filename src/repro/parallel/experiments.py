@@ -14,11 +14,6 @@ the process-wide coalescing override.  Units flow through two layers:
 Results merge positionally into sorted-id order, so the sweep output
 is bit-identical to a serial run whether units came from the cache,
 one worker or eight (the golden-digest tests assert exactly that).
-
-The older module-group sharding (:func:`share_groups` /
-:func:`run_group` / :func:`run_sharded`) is kept for callers that want
-memoisation-preserving grouping without a result store, but
-``report.run_all`` now routes through :func:`run_sweep`.
 """
 
 from __future__ import annotations
@@ -26,8 +21,7 @@ from __future__ import annotations
 import typing
 
 from ..errors import ExperimentError
-from .pool import Task, fanout
-from .stealing import StealStats, steal_fanout
+from .stealing import StealStats, Task, steal_fanout
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from ..experiments.harness import ExperimentResult
@@ -89,34 +83,16 @@ def run_sweep(
     progress: typing.Callable[[str], None] | None = None,
     metrics: "MetricsRegistry | None" = None,
     store: "ResultStore | None" = None,
-) -> dict[str, "ExperimentResult"]:
+) -> tuple[dict[str, "ExperimentResult"], StealStats | None]:
     """Run ``exp_ids``; cached units answered, misses stolen greedily.
 
-    The returned dict iterates in sorted exp-id order — the same order
-    the serial runner produces — with the standard ``wall time`` note
-    on every result (cache hits additionally carry a ``sweep cache
-    hit`` note; notes are excluded from the golden fingerprints, so
-    hits are bit-identical to fresh runs).
-    """
-    results, _ = run_sweep_with_stats(
-        exp_ids, scale, jobs=jobs, progress=progress,
-        metrics=metrics, store=store,
-    )
-    return results
-
-
-def run_sweep_with_stats(
-    exp_ids: typing.Sequence[str],
-    scale: float | None,
-    jobs: int | None = 1,
-    progress: typing.Callable[[str], None] | None = None,
-    metrics: "MetricsRegistry | None" = None,
-    store: "ResultStore | None" = None,
-) -> tuple[dict[str, "ExperimentResult"], StealStats | None]:
-    """:func:`run_sweep` plus the queue-drain stats (receipts use it).
-
-    ``stats`` is ``None`` when every unit was a cache hit (nothing
-    drained).
+    Returns ``(results, stats)``.  ``results`` iterates in sorted
+    exp-id order — the same order the serial runner produces — with
+    the standard ``wall time`` note on every result (cache hits
+    additionally carry a ``sweep cache hit`` note; notes are excluded
+    from the golden fingerprints, so hits are bit-identical to fresh
+    runs).  ``stats`` is the queue-drain telemetry, or ``None`` when
+    every unit was a cache hit (nothing drained).
     """
     from ..experiments import common
 
@@ -167,79 +143,3 @@ def run_sweep_with_stats(
         missing = sorted(set(selected) - set(ordered))
         raise ExperimentError(f"workers returned no result for {missing}")
     return ordered, stats
-
-
-# -- legacy module-group sharding (pre-store path) -------------------------
-def share_groups(
-    exp_ids: typing.Sequence[str],
-) -> list[tuple[str, list[str]]]:
-    """Group experiment ids by driver module, sorted both ways.
-
-    Returns ``(group_name, [exp_id, ...])`` pairs; the group name is
-    the driver module's short name (``fig6_ior_reqsize``).  Unknown
-    ids raise the same :class:`ExperimentError` the serial path would.
-
-    Kept for callers that want memoisation-preserving grouping (all
-    experiments registered from one driver module share an in-process
-    measurement campaign); the default sweep path now runs per-config
-    units against the result store instead.
-    """
-    from ..experiments.harness import get_experiment
-
-    groups: dict[str, list[str]] = {}
-    for exp_id in sorted(exp_ids):
-        experiment = get_experiment(exp_id)
-        module = type(experiment).__module__.rsplit(".", 1)[-1]
-        groups.setdefault(module, []).append(exp_id)
-    return sorted(groups.items())
-
-
-def run_group(payload: tuple[list[str], float | None]) -> dict:
-    """Worker: run one share group's experiments, in sorted id order.
-
-    Returns ``{exp_id: (ExperimentResult, wall_seconds)}``.  Results
-    are plain dataclasses (series + extras of counters), so they cross
-    the process boundary by pickling without dragging a simulator
-    along.
-    """
-    import time
-
-    # A spawn worker starts from a bare interpreter: importing the
-    # package registers every driver.
-    from ..experiments import harness  # noqa: F401
-    import repro.experiments  # noqa: F401
-
-    exp_ids, scale = payload
-    out = {}
-    for exp_id in exp_ids:
-        start = time.perf_counter()  # simlint: disable=DET001 - reporting only
-        result = harness.get_experiment(exp_id).run_checked(scale)
-        wall = time.perf_counter() - start  # simlint: disable=DET001 - reporting only
-        out[exp_id] = (result, wall)
-    return out
-
-
-def run_sharded(
-    exp_ids: typing.Sequence[str],
-    scale: float | None,
-    jobs: int,
-    progress: typing.Callable[[str], None] | None = None,
-    metrics: "MetricsRegistry | None" = None,
-) -> dict[str, "ExperimentResult"]:
-    """Run ``exp_ids`` as static module-group shards (legacy path)."""
-    groups = share_groups(exp_ids)
-    tasks: list[Task] = [
-        (name, (ids, scale)) for name, ids in groups
-    ]
-    merged: dict[str, ExperimentResult] = {}
-    for group_result in fanout(
-        tasks, run_group, jobs=jobs, progress=progress, metrics=metrics
-    ):
-        for exp_id, (result, wall) in group_result.items():
-            result.notes.append(f"wall time {wall:.1f}s")
-            merged[exp_id] = result
-    out = {exp_id: merged[exp_id] for exp_id in sorted(merged)}
-    if sorted(out) != sorted(exp_ids):
-        missing = sorted(set(exp_ids) - set(out))
-        raise ExperimentError(f"workers returned no result for {missing}")
-    return out

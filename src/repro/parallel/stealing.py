@@ -1,44 +1,128 @@
-"""Dynamic work-stealing fan-out: one task queue, greedy workers.
+"""Deterministic fan-out: one shared task queue, greedy spawn workers.
 
-:func:`repro.parallel.pool.fanout` hands each worker a *fixed* slice of
-the task list (one future per task, but shards are decided up front by
-the caller).  For sweeps over heterogeneous configs that static split
-is the straggler problem: one slow config pins a worker while its
-siblings idle.  This module replaces the split with a single shared
-queue of per-config units that spawn workers drain greedily — a worker
-that finishes early simply steals the next unit, so the makespan tracks
-the slowest *unit*, not the slowest *shard*.
+Every ``--jobs N`` path (the experiment sweep, ``repro compare`` and
+``repro bench``) runs independent tasks through :func:`steal_fanout`.
+The tasks go into a single shared queue that spawn workers drain
+greedily — a worker that finishes early simply steals the next task,
+so the makespan tracks the slowest *task*, not the slowest static
+shard.  Results merge **in task order**, so output is bit-identical to
+a serial run no matter how the OS schedules workers:
 
-Determinism contract (same as ``fanout``): workers are shared-nothing
-spawn processes, every unit builds its own seeded simulation, and the
-merge is positional — which worker ran a unit, and in what order units
-completed, can change wall time and :class:`StealStats` only, never
-results.  ``tests/experiments/test_parallel_golden.py`` pins the
-bit-identical half.
+- workers are *shared-nothing*: they use the ``spawn`` start method,
+  so every worker is a fresh interpreter — no inherited memoisation
+  caches, stamp counters or RNG state can leak from the parent or
+  between sibling workers;
+- every task builds its own seeded simulation (``sim.rng`` named
+  streams derived from the config's seed), so results depend only on
+  the task payload, never on which worker ran it or when;
+- the merge is positional: which worker ran a task, and in what order
+  tasks completed, can change wall time and :class:`StealStats` only,
+  never results (simlint DET005 guards the "never results" half;
+  ``tests/experiments/test_parallel_golden.py`` pins the bits).
 
-Failures keep ``fanout`` semantics: a unit that raises — or a worker
-process that dies outright — surfaces as
-:class:`~repro.errors.WorkerCrashError` naming the unit, after the pool
-is torn down.
+Crash attribution follows one rule: a worker announces each task with
+a ``start`` message before running it, so a task that raises — or a
+worker process that dies outright while it holds a task — surfaces as
+:class:`~repro.errors.WorkerCrashError` naming that task, after the
+pool is torn down.  Workers are daemonic (the final teardown backstop),
+so a worker may not itself start ``multiprocessing`` children.
+
+Progress is observable through a :class:`~repro.obs.MetricsRegistry`
+(counters ``parallel.tasks_done`` / ``parallel.tasks_failed``, the
+``parallel.task_seconds`` tally and the drain tallies) and an optional
+``progress`` callback fired as results arrive.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import multiprocessing
+import os
 import time
 import traceback
 import typing
 
 from ..errors import ParallelError, WorkerCrashError
-from .pool import Task, Worker, _Progress, resolve_jobs
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from ..obs import MetricsRegistry
 
+#: Payload -> result function executed in the worker.  Must be an
+#: importable module-level callable (the spawn start method pickles it
+#: by qualified name).
+Worker = typing.Callable[[typing.Any], typing.Any]
+
+#: (task_id, payload) pairs; ``task_id`` names the configuration in
+#: progress output and crash reports.
+Task = typing.Tuple[str, typing.Any]
+
 #: Parent-side poll interval while waiting on the result queue; only
 #: bounds how quickly a hard worker death is noticed.
 _POLL_SECONDS = 0.25
+
+
+def resolve_jobs(jobs: int | None) -> int:
+    """Normalise a ``--jobs`` value: None/1 serial, 0 = all cores."""
+    if jobs is None:
+        return 1
+    if jobs < 0:
+        raise ParallelError(f"jobs must be >= 0: {jobs}")
+    if jobs == 0:
+        # Worker-pool sizing only: the value never reaches a result
+        # (the merge is positional), which is exactly the contract
+        # DET005 enforces everywhere else.
+        return os_cpu_count()
+    return jobs
+
+
+def os_cpu_count() -> int:
+    """Core count for pool sizing (wall-time only, never results)."""
+    return os.cpu_count() or 1  # simlint: disable=DET005 - pool sizing only
+
+
+class _Progress:
+    """Completion counters, optionally mirrored into a registry.
+
+    Alongside the done/failed counters, per-task wall time feeds a
+    ``parallel.task_seconds`` tally so stragglers are visible in
+    ``repro monitor`` / metrics snapshots (min/max/mean seconds per
+    unit), and failures emit a progress line naming the failing task.
+    """
+
+    def __init__(self, metrics: "MetricsRegistry | None"):
+        self.done = self.failed = self.seconds = None
+        if metrics is not None:
+            self.done = (
+                metrics.get("parallel.tasks_done")
+                if "parallel.tasks_done" in metrics
+                else metrics.counter("parallel.tasks_done")
+            )
+            self.failed = (
+                metrics.get("parallel.tasks_failed")
+                if "parallel.tasks_failed" in metrics
+                else metrics.counter("parallel.tasks_failed")
+            )
+            self.seconds = (
+                metrics.get("parallel.task_seconds")
+                if "parallel.task_seconds" in metrics
+                else metrics.tally("parallel.task_seconds")
+            )
+
+    def ok(self, wall_seconds: float | None = None) -> None:
+        if self.done is not None:
+            self.done.add()
+        if self.seconds is not None and wall_seconds is not None:
+            self.seconds.observe(wall_seconds)
+
+    def fail(
+        self,
+        task_id: str,
+        progress: typing.Callable[[str], None] | None = None,
+    ) -> None:
+        if self.failed is not None:
+            self.failed.add()
+        if progress is not None:
+            progress(f"task {task_id} FAILED")
 
 
 @dataclasses.dataclass
@@ -182,7 +266,7 @@ def steal_fanout(
             raise ParallelError(f"duplicate task id {task_id!r}")
         seen.add(task_id)
     jobs = resolve_jobs(jobs)
-    tracker = _Progress(len(tasks), metrics)
+    tracker = _Progress(metrics)
 
     if jobs <= 1 or len(tasks) <= 1:
         results, steal_stats = _serial_drain(tasks, worker, tracker, progress)

@@ -37,6 +37,18 @@ def test_spec_validation():
         ClusterSpec(cache_fraction=1.5)
     with pytest.raises(ConfigError):
         ClusterSpec(cache_capacity=-1)
+    for bad in (
+        dict(rebuild_interval=0),
+        dict(rebuild_budget=0),
+        dict(metadata_shards=0),
+        dict(server_overhead=-1e-6),
+        dict(lookup_overhead=-1e-6),
+        dict(metadata_sync_cost=-1e-6),
+        dict(policy="bogus"),
+        dict(policy="size:-4"),
+    ):
+        with pytest.raises(ConfigError):
+            ClusterSpec(**bad)
 
 
 def test_capacity_for_fraction_and_override():

@@ -9,7 +9,8 @@ targets.
 import pytest
 
 from repro.cluster import ClusterSpec, build_cluster
-from repro.errors import CacheError
+from repro.core import S4DCacheMiddleware
+from repro.errors import CacheError, ConfigError
 from repro.mpiio import MPIJob
 from repro.units import GiB, KiB, MiB
 
@@ -75,5 +76,13 @@ def test_sharding_preserves_consistency():
 
 
 def test_bad_shard_count_rejected():
-    with pytest.raises(CacheError):
+    # The spec rejects it at construction; the middleware keeps its own
+    # guard for callers that build one directly.
+    with pytest.raises(ConfigError):
         make_cluster(shards=0)
+    mw = make_cluster(shards=1).middleware
+    with pytest.raises(CacheError):
+        S4DCacheMiddleware(
+            mw.sim, mw.direct, mw.cpfs, mw.identifier.cost_model,
+            capacity=0, metadata_shards=0,
+        )

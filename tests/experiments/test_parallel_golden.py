@@ -20,8 +20,8 @@ from capture_golden import GOLDEN_POINTS  # noqa: E402
 from repro.errors import WorkerCrashError  # noqa: E402
 from repro.experiments import harness, report  # noqa: E402
 import repro.experiments  # noqa: F401,E402  - registers all drivers
-from repro.parallel import ResultStore, fanout  # noqa: E402
-from repro.parallel.experiments import run_group, share_groups  # noqa: E402
+from repro.parallel import ResultStore, steal_fanout  # noqa: E402
+from repro.parallel.experiments import run_unit  # noqa: E402
 
 
 def _digests(jobs: int, store=None) -> dict[str, str]:
@@ -59,22 +59,15 @@ def test_warm_cache_digests_bit_identical_to_serial(tmp_path):
     assert warm == serial
 
 
-def test_share_groups_keep_memoised_siblings_together():
-    groups = dict(share_groups(["fig6a", "fig6b", "table3", "fig9a"]))
-    assert groups["fig6_ior_reqsize"] == ["fig6a", "fig6b"]
-    assert groups["fig9_hpio"] == ["fig9a"]
-    assert groups["table3_distribution"] == ["table3"]
-
-
 def test_worker_crash_names_the_config():
     """A config that dies in a spawned worker surfaces a clean error
-    naming the failing group; the pool shuts down without hanging."""
+    naming the failing unit; the pool shuts down without hanging."""
     tasks = [
-        ("good", (["table3"], 0.02)),
-        ("bad-config", (["no_such_experiment"], 0.02)),
+        ("good", ("table3", 0.02, None)),
+        ("bad-config", ("no_such_experiment", 0.02, None)),
     ]
     with pytest.raises(WorkerCrashError) as excinfo:
-        fanout(tasks, run_group, jobs=2)
+        steal_fanout(tasks, run_unit, jobs=2)
     assert excinfo.value.task_id == "bad-config"
     assert "no_such_experiment" in excinfo.value.worker_traceback
 

@@ -2,36 +2,44 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.errors import ParallelError, WorkerCrashError
 from repro.obs import MetricsRegistry
-from repro.parallel import fanout, resolve_jobs
+from repro.parallel import resolve_jobs, steal_fanout
 
 from .workers import crash_on_three, seeded_draws, square
 
 TASKS = [(f"t{i}", i) for i in range(6)]
 
 
+def results_of(tasks, worker, **kwargs):
+    """``steal_fanout``'s ordered results, without its drain stats."""
+    results, _ = steal_fanout(tasks, worker, **kwargs)
+    return results
+
+
 def test_serial_path_preserves_order():
-    assert fanout(TASKS, square, jobs=1) == [i * i for i in range(6)]
+    assert results_of(TASKS, square, jobs=1) == [i * i for i in range(6)]
 
 
 def test_parallel_results_in_task_order():
-    assert fanout(TASKS, square, jobs=3) == [i * i for i in range(6)]
+    assert results_of(TASKS, square, jobs=3) == [i * i for i in range(6)]
 
 
 def test_parallel_matches_serial_bit_for_bit():
     tasks = [(f"seed{s}", (s, 32)) for s in (7, 11, 13, 17)]
-    serial = fanout(tasks, seeded_draws, jobs=1)
-    parallel = fanout(tasks, seeded_draws, jobs=4)
+    serial = results_of(tasks, seeded_draws, jobs=1)
+    parallel = results_of(tasks, seeded_draws, jobs=4)
     assert serial == parallel
 
 
 def test_worker_crash_names_the_task():
     tasks = [(f"cfg-{i}", i) for i in range(5)]
     with pytest.raises(WorkerCrashError) as excinfo:
-        fanout(tasks, crash_on_three, jobs=2)
+        results_of(tasks, crash_on_three, jobs=2)
     assert excinfo.value.task_id == "cfg-3"
     assert "cfg-3" in str(excinfo.value)
     assert "synthetic failure on payload 3" in excinfo.value.worker_traceback
@@ -39,20 +47,21 @@ def test_worker_crash_names_the_task():
 
 def test_serial_crash_names_the_task_too():
     with pytest.raises(WorkerCrashError) as excinfo:
-        fanout([("only", 3)], crash_on_three, jobs=1)
+        results_of([("only", 3)], crash_on_three, jobs=1)
     assert excinfo.value.task_id == "only"
 
 
 def test_pool_survives_a_crash():
-    """A crash shuts the pool down cleanly; the next fanout works."""
+    """A crash tears the pool down cleanly; the next drain works."""
     with pytest.raises(WorkerCrashError):
-        fanout([("a", 3), ("b", 4)], crash_on_three, jobs=2)
-    assert fanout([("a", 1), ("b", 2)], crash_on_three, jobs=2) == [10, 20]
+        results_of([("a", 3), ("b", 4)], crash_on_three, jobs=2)
+    assert not multiprocessing.active_children()
+    assert results_of([("a", 1), ("b", 2)], crash_on_three, jobs=2) == [10, 20]
 
 
 def test_duplicate_task_id_rejected():
     with pytest.raises(ParallelError, match="duplicate"):
-        fanout([("same", 1), ("same", 2)], square, jobs=1)
+        results_of([("same", 1), ("same", 2)], square, jobs=1)
 
 
 def test_resolve_jobs():
@@ -67,7 +76,7 @@ def test_resolve_jobs():
 def test_progress_and_metrics():
     lines: list[str] = []
     metrics = MetricsRegistry()
-    results = fanout(
+    results = results_of(
         TASKS, square, jobs=2,
         progress=lines.append, metrics=metrics,
     )
@@ -81,5 +90,5 @@ def test_progress_and_metrics():
 def test_failed_metric_increments():
     metrics = MetricsRegistry()
     with pytest.raises(WorkerCrashError):
-        fanout([("x", 3)], crash_on_three, jobs=1, metrics=metrics)
+        results_of([("x", 3)], crash_on_three, jobs=1, metrics=metrics)
     assert metrics.get("parallel.tasks_failed").count == 1

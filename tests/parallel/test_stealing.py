@@ -11,6 +11,7 @@ from repro.parallel import StealStats, WorkerStats, steal_fanout
 from .workers import (
     crash_on_three,
     die_hard_on_three,
+    die_hard_on_three_beside_slow_zero,
     seeded_draws,
     square,
     uneven_sleep_square,
@@ -68,12 +69,14 @@ def test_soft_crash_names_the_unit():
 
 def test_hard_death_names_the_inflight_unit():
     """A worker process that dies outright (os._exit, OOM-kill shape)
-    is attributed to the unit it had announced."""
+    is attributed to the unit it had announced — also while a healthy,
+    slower neighbour is still running its own unit."""
     tasks = [(f"cfg-{i}", i) for i in range(5)]
-    with pytest.raises(WorkerCrashError) as excinfo:
-        steal_fanout(tasks, die_hard_on_three, jobs=2)
-    assert excinfo.value.task_id == "cfg-3"
-    assert "exit code" in excinfo.value.worker_traceback
+    for worker in (die_hard_on_three, die_hard_on_three_beside_slow_zero):
+        with pytest.raises(WorkerCrashError) as excinfo:
+            steal_fanout(tasks, worker, jobs=2)
+        assert excinfo.value.task_id == "cfg-3"
+        assert "exit code" in excinfo.value.worker_traceback
 
 
 def test_serial_crash_names_the_unit_and_reports_progress():

@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments import harness, report
-from repro.parallel import ResultStore, run_sweep_with_stats, unit_digest
+from repro.parallel import ResultStore, run_sweep, unit_digest
 
 SUBSET = ["fig9a", "table3"]
 SCALE = 0.02
@@ -22,15 +22,11 @@ def store(tmp_path):
 
 
 def test_warm_run_is_bit_identical_and_runs_nothing(store):
-    cold, cold_stats = run_sweep_with_stats(
-        SUBSET, SCALE, jobs=1, store=store
-    )
+    cold, cold_stats = run_sweep(SUBSET, SCALE, jobs=1, store=store)
     assert cold_stats is not None
     assert store.stores == len(SUBSET) and store.hits == 0
 
-    warm, warm_stats = run_sweep_with_stats(
-        SUBSET, SCALE, jobs=1, store=store
-    )
+    warm, warm_stats = run_sweep(SUBSET, SCALE, jobs=1, store=store)
     assert warm_stats is None  # nothing drained
     assert store.hits == len(SUBSET)
     assert list(warm) == list(cold) == sorted(SUBSET)
@@ -42,9 +38,9 @@ def test_warm_run_is_bit_identical_and_runs_nothing(store):
 
 
 def test_hits_do_not_accumulate_notes(store):
-    run_sweep_with_stats(SUBSET, SCALE, jobs=1, store=store)
+    run_sweep(SUBSET, SCALE, jobs=1, store=store)
     for _ in range(2):
-        warm, _ = run_sweep_with_stats(SUBSET, SCALE, jobs=1, store=store)
+        warm, _ = run_sweep(SUBSET, SCALE, jobs=1, store=store)
     notes = warm["table3"].notes
     assert notes.count("sweep cache hit") == 1
     assert sum(1 for n in notes if n.startswith("wall time")) == 1
@@ -60,7 +56,7 @@ def test_default_scale_and_explicit_default_share_an_entry():
 
 def test_unknown_experiment_raises_before_any_run(store):
     with pytest.raises(ExperimentError):
-        run_sweep_with_stats(["no_such_experiment"], SCALE, store=store)
+        run_sweep(["no_such_experiment"], SCALE, store=store)
 
 
 def test_code_revision_isolates_entries(tmp_path):

@@ -1,7 +1,7 @@
-"""Module-level workers for the pool tests.
+"""Module-level workers for the fan-out tests.
 
 The spawn start method pickles workers by qualified name, so anything
-a test sends to ``fanout`` must live here, not in a test function.
+a test sends to ``steal_fanout`` must live here, not in a test function.
 """
 
 from __future__ import annotations
@@ -24,6 +24,15 @@ def die_hard_on_three(payload: int) -> int:
 
         os._exit(17)
     return payload * 10
+
+
+def die_hard_on_three_beside_slow_zero(payload: int) -> int:
+    """Payload 3 dies hard while a healthy, slower payload 0 still runs."""
+    if payload == 0:
+        import time
+
+        time.sleep(1.0)
+    return die_hard_on_three(payload)
 
 
 def uneven_sleep_square(payload) -> int:

@@ -12,15 +12,27 @@ def test_calibrate_prints_parameters(capsys):
     assert "crossover" in out
 
 
-def test_compare_runs_small_workload(capsys):
-    code = main([
-        "compare", "--processes", "2", "--requests-per-rank", "16",
-        "--dservers", "2", "--cservers", "2",
-    ])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "stock MB/s" in out
-    assert "S4D routing" in out
+def test_compare_runs_small_workload(tmp_path, capsys):
+    """Serial, parallel-uncached and parallel store-backed (cold)
+    compares all simulate and print the same table."""
+    tables = []
+    for flags in (
+        ["--jobs", "1", "--cache-dir", str(tmp_path / "serial")],
+        ["--jobs", "2", "--no-result-cache"],
+        ["--jobs", "2", "--cache-dir", str(tmp_path / "parallel")],
+    ):
+        code = main([
+            "compare", "--processes", "2", "--requests-per-rank", "16",
+            "--dservers", "2", "--cservers", "2", *flags,
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "sweep cache hit" not in out
+        assert "stock MB/s" in out
+        assert "S4D routing" in out
+        tables.append(out[out.index("phase"):])
+    assert tables[1] == tables[0]
+    assert tables[2] == tables[0]
 
 
 def test_replay_trace(tmp_path, capsys):

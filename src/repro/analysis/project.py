@@ -361,12 +361,15 @@ class Project:
     def _close_processes(self) -> None:
         """Mark the generator functions that run as simulation processes.
 
-        Seeds: the argument of every ``spawn(...)`` / ``spawn_many``
-        frame call site.  Closure: a process's ``yield from <call>``
-        targets, and any generator function passed *by reference* as an
-        argument at a call site whose callee is a project function (the
-        callee will call-and-spawn or yield-from it — exactly how the
-        Rebuilder hands ``_flush_extent`` to ``_run_batch``).
+        Seeds: the generator calls handed to ``spawn``/``process`` (the
+        first argument) and to ``spawn_many``/``gather`` (the calls in
+        a list display, list comprehension or generator expression
+        passed first).  Closure: a process's
+        ``yield from <call>`` targets, and any generator function passed
+        *by reference* as an argument at a call site whose callee is a
+        project function (the callee will call-and-spawn or yield-from
+        it — exactly how the Rebuilder hands ``_flush_extent`` to
+        ``_run_batch``).
         """
         worklist: list[FunctionInfo] = []
 
@@ -380,12 +383,10 @@ class Project:
             for node in _own_scope(info.node):
                 if not isinstance(node, ast.Call):
                     continue
-                name = _call_name(node.func)
-                if name in ("spawn", "process") and node.args:
-                    inner = node.args[0]
-                    if isinstance(inner, ast.Call):
+                if _call_name(node.func) in _PROCESS_SEEDS and node.args:
+                    for body in _body_calls(node.args[0]):
                         mark(self.resolve_call(
-                            inner, module, info.class_name, within=info
+                            body, module, info.class_name, within=info
                         ))
 
         while worklist:
@@ -462,6 +463,23 @@ def _own_scope(fn: ast.AST) -> typing.Iterator[ast.AST]:
                              ast.Lambda)):
             continue
         stack.extend(ast.iter_child_nodes(node))
+
+
+#: Engine calls whose first argument holds the bodies of new processes.
+_PROCESS_SEEDS = frozenset({"spawn", "process", "spawn_many", "gather"})
+
+
+def _body_calls(arg: ast.AST) -> list[ast.Call]:
+    """The generator calls in a process seed's first argument."""
+    if isinstance(arg, ast.Call):
+        return [arg]
+    if isinstance(arg, ast.List):
+        return [elt for elt in arg.elts if isinstance(elt, ast.Call)]
+    if isinstance(arg, (ast.ListComp, ast.GeneratorExp)) and isinstance(
+        arg.elt, ast.Call
+    ):
+        return [arg.elt]
+    return []
 
 
 def _call_name(func: ast.AST) -> str | None:

@@ -179,20 +179,17 @@ class CARLPlacementLayer(IOLayer):
         d_handle = self.direct.pfs.open(handle.path)
         s_handle = self.cpfs.open(self.ssd_path(handle.path))
 
-        flows = []
-        for seg_start, seg_end, placed in segments:
-            flows.append(
-                self.sim.spawn(
-                    self._segment_flow(
-                        rank, op, seg_start, seg_end - seg_start,
-                        bool(placed), d_handle, s_handle, stamp, priority,
-                        ctx,
-                    ),
-                    name=f"carl:{op}",
-                )
-            )
         start = self.sim.now
-        results = yield self.sim.all_of(flows)
+        results = yield from self.sim.gather(
+            [
+                self._segment_flow(
+                    rank, op, seg_start, seg_end - seg_start, bool(placed),
+                    d_handle, s_handle, stamp, priority, ctx,
+                )
+                for seg_start, seg_end, placed in segments
+            ],
+            name=f"carl:{op}",
+        )
 
         merged = []
         for res in results:

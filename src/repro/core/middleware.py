@@ -103,9 +103,9 @@ class S4DCacheMiddleware(IOLayer):
             for node in range(direct.num_nodes)
         ]
         self._mover_opfs = PFSClient(sim, direct.pfs, direct.fabric, "mover",
-                                     coalesce=coalesce)
+                                     coalesce=coalesce, spawn_flows=True)
         self._mover_cpfs = PFSClient(sim, cpfs, direct.fabric, "mover",
-                                     coalesce=coalesce)
+                                     coalesce=coalesce, spawn_flows=True)
         self.rebuilder = Rebuilder(
             sim,
             self.dmt,
@@ -278,17 +278,13 @@ class S4DCacheMiddleware(IOLayer):
             exec_span = ctx.begin("execute", cat="middleware",
                                   component="app", steps=len(plan.steps))
         exec_ctx = ctx.under(exec_span)
-        flow_name = "s4d:" + plan.op
-        flows = [
-            self.sim.spawn(
-                self._step_flow(rank, d_handle, c_handle, plan.op, step,
-                                stamp, priority, exec_ctx),
-                name=flow_name,
-            )
-            for step in plan.steps
-        ]
         try:
-            step_results = yield self.sim.all_of(flows)
+            step_results = yield from self.sim.gather(
+                [self._step_flow(rank, d_handle, c_handle, plan.op, step,
+                                 stamp, priority, exec_ctx)
+                 for step in plan.steps],
+                name="s4d:" + plan.op,
+            )
         finally:
             if exec_span is not None:
                 ctx.end(exec_span)

@@ -7,9 +7,10 @@ Background data reorganisation, "triggered periodically":
 2. read CDT entries whose C_flag is set from DServers into CServers
    (the lazy caching of read misses), then clear the C_flag.
 
-All reorganisation I/O is *low priority* so it yields to application
-requests (§III.F: "Rebuilder issues low-priority I/O requests for the
-reorganization to reduce the interference").
+All reorganisation I/O runs at ``Rebuilder.priority``, *low* by
+default, so it yields to application requests (§III.F: "Rebuilder
+issues low-priority I/O requests for the reorganization to reduce the
+interference").
 
 Resource discipline (simlint SIM001 audit): the Rebuilder holds no
 device grants itself — the PFS clients acquire and finally-release
@@ -215,11 +216,11 @@ class Rebuilder:
         try:
             yield from self.cpfs_client.read(
                 c_handle, extent.c_offset, extent.length,
-                priority=PRIORITY_LOW, ctx=ctx,
+                priority=self.priority, ctx=ctx,
             )
             yield from self.opfs_client.write(
                 d_handle, extent.d_offset, extent.length,
-                priority=PRIORITY_LOW, ctx=ctx,
+                priority=self.priority, ctx=ctx,
             )
         finally:
             ctx.finish()
@@ -284,12 +285,12 @@ class Rebuilder:
             )
             try:
                 yield from self.opfs_client.read(
-                    d_handle, seg_start, seg_size, priority=PRIORITY_LOW,
+                    d_handle, seg_start, seg_size, priority=self.priority,
                     ctx=ctx,
                 )
                 yield from self.cpfs_client.write(
                     c_handle, allocation.c_offset, seg_size,
-                    priority=PRIORITY_LOW, ctx=ctx,
+                    priority=self.priority, ctx=ctx,
                 )
             except BaseException:
                 # Any unwind mid-movement — a kill at the yield point

@@ -27,6 +27,27 @@ class LockToken:
         self.owner = owner
 
 
+class LockRequest(Event):
+    """A pending :meth:`LockManager.acquire`; fires with its token."""
+
+    __slots__ = ("manager", "token")
+
+    def __init__(self, manager: "LockManager", token: LockToken):
+        super().__init__(manager.sim)
+        self.manager = manager
+        self.token = token
+
+    def _withdraw(self) -> None:
+        # A killed waiter's queued request is cancelled; a lock handed
+        # over but not yet delivered passes to the next waiter.
+        self._cb0 = None
+        if not self._triggered:
+            self.manager.cancel(self.token.key, self)
+        elif not self._processed:
+            self._value = None
+            self.manager.release(self.token)
+
+
 class LockManager:
     """Per-key mutual exclusion with FIFO granting."""
 
@@ -40,7 +61,7 @@ class LockManager:
     def acquire(self, key: str, owner: str = "") -> Event:
         """Request the lock on ``key``; yields the token when granted."""
         token = LockToken(key, owner)
-        event = Event(self.sim)
+        event = LockRequest(self, token)
         if key not in self._held:
             self._held[key] = token
             self.acquisitions += 1

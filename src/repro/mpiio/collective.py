@@ -119,11 +119,9 @@ def _shuffle_bytes(ctx, plan: _Plan, direction: str):
         dst = layer.node_for(agg if direction == "to_agg" else rank)
         if src == dst:
             continue
-        flows.append(
-            ctx.sim.spawn(layer.fabric.transfer(src, dst, nbytes))
-        )
+        flows.append(layer.fabric.transfer(src, dst, nbytes))
     if flows:
-        yield ctx.sim.all_of(flows)
+        yield from ctx.sim.gather(flows)
 
 
 def _collective(ctx, mpifile, segments, op: str, num_aggregators: int | None):

@@ -69,17 +69,26 @@ class PFSClient:
     under coalescing); ``coalesce=False`` restores the legacy
     per-fragment timing, pinned by its own legacy fixture (see
     docs/ARCHITECTURE.md, "Parallel execution").
+
+    The sub-requests run through :meth:`Simulator.gather`, which runs
+    a lone one inline in the caller.  ``spawn_flows=True`` gives every
+    sub-request its own process instead, so a caller killed mid-request
+    leaves its sub-requests running to completion.  Only the
+    Rebuilder's two mover clients set it: ``Rebuilder.stop()`` kills
+    movements mid-I/O.
     """
 
     def __init__(
         self, sim: "Simulator", pfs: PFS, fabric: Fabric, endpoint: str,
         coalesce: bool = DEFAULT_COALESCE,
+        spawn_flows: bool = False,
     ):
         self.sim = sim
         self.pfs = pfs
         self.fabric = fabric
         self.endpoint = endpoint
         self.coalesce = coalesce
+        self.spawn_flows = spawn_flows
         fabric.add_endpoint(endpoint)
         for server in pfs.servers:
             fabric.add_endpoint(server.name)
@@ -155,13 +164,19 @@ class PFSClient:
         # One shared debug name per request (not per sub-request): the
         # per-sub f-string was a measurable allocation on the hot path.
         flow_name = f"{op}:{handle.name}"
-        flows = self.sim.spawn_many(
-            (self._sub_flow(op, handle, sub, priority, sub_ctx)
-             for sub in subs),
-            name=flow_name,
-        )
         try:
-            yield self.sim.all_of(flows)
+            if self.spawn_flows:
+                yield self.sim.all_of(self.sim.spawn_many(
+                    (self._sub_flow(op, handle, sub, priority, sub_ctx)
+                     for sub in subs),
+                    name=flow_name,
+                ))
+            else:
+                yield from self.sim.gather(
+                    [self._sub_flow(op, handle, sub, priority, sub_ctx)
+                     for sub in subs],
+                    name=flow_name,
+                )
         finally:
             if span is not None:
                 ctx.end(span)

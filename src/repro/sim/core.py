@@ -28,6 +28,12 @@ Engine layout (the hot path of every experiment in the repo):
   consumer was a process resume (see :mod:`repro.sim.events` for the
   pooling contract).  ``Simulator(pooling=False)`` disables every pool
   for differential testing.
+- :meth:`Simulator.gather` is the request path's fan-out.  A lone
+  body, the common case, runs inline in its caller with no Process,
+  bootstrap frame or AllOf, but it keeps the three zero-delay hops a
+  spawned flow takes (bootstrap, completion, the AllOf's).  Every
+  event keeps its run-queue slot and sequence number, so the schedule
+  and ``events_scheduled`` are those of spawn + ``all_of``.
 - :meth:`Simulator.run` switches Python's cyclic garbage collector off
   while its loop runs and restores the caller's setting on exit.  The
   engine and the campaign request path create no reference cycles
@@ -283,6 +289,36 @@ class Simulator:
         from the frame pool either way.
         """
         return [Process(self, body, name=name) for body in bodies]
+
+    def gather(
+        self, bodies: typing.Sequence[ProcessBody], name: str = ""
+    ) -> typing.Generator[Event, typing.Any, list[typing.Any]]:
+        """Run ``bodies`` concurrently and wait for all; returns their values.
+
+        ``values = yield from sim.gather(bodies, name=...)`` is the
+        request path's fan-out.  Any number of bodies but one is
+        spawned as processes called ``name`` and joined with
+        :meth:`all_of`, as a hand-built spawn list would be.  A lone body (the common case)
+        runs inline in the caller, with no Process, bootstrap frame or
+        AllOf.  It still takes the three zero-delay hops a spawned flow
+        costs: one before it (the bootstrap) and two after it (the
+        flow's completion and the AllOf's).  Every event therefore keeps
+        its run-queue slot and sequence number, and the schedule is the
+        spawned form's.  A lone body that raises raises straight into
+        the caller.
+
+        Killing the caller aborts an inline body, where a spawned flow
+        would run on to completion; a caller that is killed mid-flow
+        and needs that (the Rebuilder's mover clients) spawns its flows
+        itself.
+        """
+        if len(bodies) != 1:
+            return (yield self.all_of(self.spawn_many(bodies, name)))
+        yield self.timeout(0.0)
+        value = yield from bodies[0]
+        yield self.timeout(0.0)
+        yield self.timeout(0.0)
+        return [value]
 
     # -- engine plumbing --------------------------------------------------
     def _schedule(self, event: Event, delay: float) -> None:

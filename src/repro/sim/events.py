@@ -155,6 +155,20 @@ class Event:
         else:
             self._callbacks.append(callback)
 
+    def _withdraw(self) -> None:
+        """Give up a killed waiter's claim on this event.
+
+        :meth:`Process.kill <repro.sim.process.Process.kill>` calls this
+        on the event the killed process waits on, before it throws the
+        kill in.  Events that hand their waiter something it must give
+        back (a resource slot, a lock, a store item) override it: a
+        queued claim leaves its queue, and one that was handed over but
+        not yet delivered passes to the next waiter.  Plain events,
+        timeouts, processes and conditions have nothing to withdraw;
+        a condition's children may be shared or already delivered to
+        it.
+        """
+
     def _process(self) -> None:
         """Run callbacks; called by the simulator at the trigger time."""
         self._processed = True

@@ -75,7 +75,13 @@ class Process(Event):
         return not self.triggered
 
     def kill(self, reason: str = "") -> None:
-        """Throw :class:`ProcessKilled` into the process at the current time."""
+        """Throw :class:`ProcessKilled` into the process at the current time.
+
+        The event the process waits on is withdrawn first (see
+        :meth:`Event._withdraw <repro.sim.events.Event._withdraw>`), so
+        a kill never leaves a resource slot, lock or store item
+        assigned to a dead process.
+        """
         if self.triggered:
             return
         if not self._started:
@@ -84,6 +90,10 @@ class Process(Event):
             self._presume = None
             self.succeed(None)
             return
+        waiting = self._waiting_on
+        if waiting is not None:
+            self._waiting_on = None
+            waiting._withdraw()
         self._throw_in(ProcessKilled(reason or f"process {self.name} killed"))
 
     # -- engine plumbing -------------------------------------------------

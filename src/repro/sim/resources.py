@@ -65,6 +65,23 @@ class Grant(Event):
         self.priority = priority
         self.released = False
 
+    def _withdraw(self) -> None:
+        # A queued grant leaves the waiter heap; one that was handed
+        # over but not yet delivered passes its slot on.  Either way it
+        # drops its waiter and its self-referencing value, so the dead
+        # grant forms no cycle.
+        self._cb0 = None
+        if not self._triggered:
+            waiters = self.resource._waiters
+            for index, entry in enumerate(waiters):
+                if entry[2] is self:
+                    del waiters[index]
+                    heapq.heapify(waiters)
+                    return
+        elif not self._processed:
+            self._value = None
+            self.resource.release(self)
+
 
 class PriorityResource:
     """A resource with ``capacity`` concurrent slots and priority waiting.
@@ -193,14 +210,41 @@ class Store:
 
     def get(self) -> Event:
         """Return an event that fires with the next available item."""
-        # sim.event() recycles pooled generic events: a get whose sole
-        # consumer is a process resume costs no allocation at all.
-        event = self.sim.event()
+        event = _StoreGet(self)
         if self._items:
             event.succeed(self._items.pop(0))
         else:
             self._getters.append(event)
         return event
 
+    def _unget(self, item: typing.Any) -> None:
+        """Take back an item a killed getter never received.
+
+        It is still the oldest item, so it goes to the oldest waiting
+        getter or to the front of the queue.
+        """
+        if self._getters:
+            self._getters.pop(0).succeed(item)
+        else:
+            self._items.insert(0, item)
+
     def __len__(self) -> int:
         return len(self._items)
+
+
+class _StoreGet(Event):
+    """A pending :meth:`Store.get`; a killed getter gives up its place."""
+
+    __slots__ = ("store",)
+
+    def __init__(self, store: Store):
+        super().__init__(store.sim)
+        self.store = store
+
+    def _withdraw(self) -> None:
+        self._cb0 = None
+        if not self._triggered:
+            self.store._getters.remove(self)
+        elif not self._processed:
+            item, self._value = self._value, None
+            self.store._unget(item)

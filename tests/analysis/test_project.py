@@ -1,9 +1,12 @@
 """Whole-program symbol table, call graph, process closure, taint."""
 
 import ast
+import pathlib
 import textwrap
 
 from repro.analysis.project import build_project, module_name_of
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 def _project(**files):
@@ -163,3 +166,52 @@ def test_fingerprint_tracks_semantics_not_text():
     fp = _project(**{"src/p/m.py": base}).fingerprint()
     assert _project(**{"src/p/m.py": commented}).fingerprint() == fp
     assert _project(**{"src/p/m.py": tainted}).fingerprint() != fp
+
+
+def test_process_closure_seeds_from_fan_out_collections():
+    """``spawn_many``/``gather`` take their bodies in a list display, a
+    list comprehension or a generator expression."""
+    project = _project(**{
+        "src/repro/pfs/fan.py": """
+        class Client:
+            def listed(self, sim):
+                yield from sim.gather([self.one(), self.two()])
+
+            def comprehended(self, sim, subs):
+                return (yield from sim.gather(
+                    [self.sub(s) for s in subs], name="x"))
+
+            def generated(self, sim, subs):
+                sim.spawn_many((self.gen(s) for s in subs))
+
+            def one(self):
+                yield self.sim.timeout(1)
+
+            def two(self):
+                yield self.sim.timeout(1)
+
+            def sub(self, s):
+                yield self.sim.timeout(s)
+
+            def gen(self, s):
+                yield self.sim.timeout(s)
+        """
+    })
+    for name in ("one", "two", "sub", "gen"):
+        assert project.functions[f"repro.pfs.fan.Client.{name}"].is_process
+
+
+def test_request_path_flows_are_processes():
+    """The request path's fan-out bodies, and what they reach."""
+    src = REPO_ROOT / "src"
+    project = build_project(
+        (path.relative_to(REPO_ROOT).as_posix(), ast.parse(path.read_text()))
+        for path in sorted(src.rglob("*.py"))
+    )
+    for qualname in (
+        "repro.pfs.client.PFSClient._sub_flow",
+        "repro.pfs.server.FileServer.serve",
+        "repro.pfs.server.FileServer._device_op",
+        "repro.core.middleware.S4DCacheMiddleware._step_flow",
+    ):
+        assert project.functions[qualname].is_process, qualname

@@ -1,6 +1,9 @@
 """Tests for the Rebuilder: flush, fetch, priorities, interference."""
 
+import pytest
+
 from repro.mpiio import MPIFile
+from repro.sim.resources import PRIORITY_LOW, PRIORITY_NORMAL
 from repro.units import KiB, MiB
 
 
@@ -180,3 +183,31 @@ def test_stop_is_idempotent(s4d_cluster):
 
     sim.run_process(body())
     assert not mw.rebuilder.running
+
+
+@pytest.mark.parametrize("priority", [PRIORITY_LOW, PRIORITY_NORMAL])
+def test_movements_acquire_at_the_rebuilder_priority(s4d_cluster, priority):
+    """Flushes and fetches run at ``Rebuilder.priority`` (the rebuilder
+    ablation's "normal" arm sets it), not at a hard-coded low."""
+    mw = s4d_cluster.middleware
+    sim = s4d_cluster.sim
+    mw.rebuilder.priority = priority
+    seen = []
+    link = mw.fabric.endpoint("mover")
+    for resource in (link.tx, link.rx):
+        def spy(prio=PRIORITY_NORMAL, _acquire=resource.acquire):
+            seen.append(prio)
+            return _acquire(prio)
+
+        resource.acquire = spy
+
+    def body():
+        f, _ = yield from open_and_write(mw, [0, 8 * MiB, 24 * MiB])()
+        for i in range(4):  # critical read misses: lazy fetches
+            yield from f.read_at(40 * MiB + i * 4 * MiB, 16 * KiB)
+        yield from mw.rebuilder.drain()
+        yield from f.close()
+
+    sim.run_process(body())
+    assert mw.metrics.flushes > 0 and mw.metrics.fetches > 0
+    assert seen and set(seen) == {priority}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import KVStoreError, LockTimeout
+from repro.errors import KVStoreError, LockTimeout, ProcessKilled
 from repro.kvstore import LockManager
 from repro.kvstore.locking import TimeoutLock
 from repro.sim import Simulator
@@ -144,3 +144,65 @@ def test_timeout_lock_bad_budget():
     sim = Simulator()
     with pytest.raises(KVStoreError):
         TimeoutLock(LockManager(sim), budget=0)
+
+
+def test_killed_lock_waiter_leaves_the_queue():
+    sim = Simulator()
+    locks = LockManager(sim)
+    granted = []
+
+    def worker(start, hold):
+        yield sim.timeout(start)
+        token = yield locks.acquire("dmt")
+        try:
+            granted.append(sim.now)
+            yield sim.timeout(hold)
+        finally:
+            locks.release(token)
+
+    sim.spawn(worker(0.0, 1.0))
+    waiter = sim.spawn(worker(0.0, 1.0))
+    late = sim.spawn(worker(5.0, 1.0))
+
+    def killer():
+        yield sim.timeout(0.5)
+        waiter.kill()
+        with pytest.raises(ProcessKilled):
+            yield waiter
+
+    sim.spawn(killer())
+    sim.run()
+    assert granted == [0.0, 5.0]
+    assert not late.is_alive
+    assert not locks.is_held("dmt") and locks.queue_length("dmt") == 0
+
+
+def test_killed_before_delivery_passes_the_lock_on():
+    sim = Simulator()
+    locks = LockManager(sim)
+    granted = []
+
+    def worker(name):
+        token = yield locks.acquire("dmt")
+        try:
+            granted.append((name, sim.now))
+            yield sim.timeout(1.0)
+        finally:
+            locks.release(token)
+
+    sim.spawn(worker("holder"))
+    waiter = sim.spawn(worker("waiter"))
+    sim.spawn(worker("third"))
+
+    def killer():
+        yield sim.timeout(1.0)
+        yield sim.timeout(0.0)  # after the holder's release at t=1
+        assert waiter.is_alive and locks.queue_length("dmt") == 1
+        waiter.kill()
+        with pytest.raises(ProcessKilled):
+            yield waiter
+
+    sim.spawn(killer())
+    sim.run()
+    assert granted == [("holder", 0.0), ("third", 1.0)]
+    assert not locks.is_held("dmt")

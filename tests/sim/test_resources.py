@@ -4,7 +4,7 @@ import gc
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ProcessKilled, SimulationError
 from repro.sim import PriorityResource, Simulator, Store
 from repro.sim.resources import PRIORITY_LOW, PRIORITY_NORMAL
 
@@ -226,3 +226,119 @@ def test_store_buffered_items_have_len():
     store.put(1)
     store.put(2)
     assert len(store) == 2
+
+
+# -- kills withdraw the wait ----------------------------------------------
+def _kill_and_join(sim, victim, at):
+    """A process that kills ``victim`` at time ``at`` and joins it."""
+    yield sim.timeout(at)
+    victim.kill()
+    with pytest.raises(ProcessKilled):
+        yield victim
+
+
+def test_killed_resource_waiter_leaves_the_queue():
+    sim = Simulator()
+    res = PriorityResource(sim, capacity=1)
+    served = []
+
+    def user(start, hold):
+        yield sim.timeout(start)
+        grant = yield res.acquire()
+        try:
+            served.append(sim.now)
+            yield sim.timeout(hold)
+        finally:
+            res.release(grant)
+
+    sim.spawn(user(0.0, 1.0))
+    waiter = sim.spawn(user(0.0, 1.0))
+    late = sim.spawn(user(5.0, 1.0))
+    sim.spawn(_kill_and_join(sim, waiter, 0.5))
+    sim.run()
+    assert served == [0.0, 5.0]
+    assert not late.is_alive
+    assert (res.in_use, res.queue_length) == (0, 0)
+
+
+def test_killed_before_delivery_passes_the_grant_on():
+    # The holder releases at t=1 and hands the slot to the waiter; the
+    # waiter is killed in the same instant, before the grant reaches it.
+    sim = Simulator()
+    res = PriorityResource(sim, capacity=1)
+    served = []
+
+    def user(name, hold):
+        grant = yield res.acquire()
+        try:
+            served.append((name, sim.now))
+            yield sim.timeout(hold)
+        finally:
+            res.release(grant)
+
+    sim.spawn(user("holder", 1.0))
+    waiter = sim.spawn(user("waiter", 1.0))
+    sim.spawn(user("third", 1.0))
+
+    def killer():
+        yield sim.timeout(1.0)
+        yield sim.timeout(0.0)  # after the holder's release at t=1
+        assert waiter.is_alive and res.queue_length == 1
+        waiter.kill()
+        with pytest.raises(ProcessKilled):
+            yield waiter
+
+    sim.spawn(killer())
+    gc.collect()
+    with collector(False):
+        sim.run()
+        assert cyclic_garbage() == {}
+    assert served == [("holder", 0.0), ("third", 1.0)]
+    assert (res.in_use, res.queue_length) == (0, 0)
+
+
+def test_killed_store_getter_does_not_swallow_a_put():
+    sim = Simulator()
+    store = Store(sim)
+    got = []
+
+    def getter(start):
+        yield sim.timeout(start)
+        got.append((sim.now, (yield store.get())))
+
+    doomed = sim.spawn(getter(0.0))
+    sim.spawn(getter(2.0))
+
+    def killer():
+        yield from _kill_and_join(sim, doomed, 0.5)
+        yield sim.timeout(0.5)
+        store.put("x")
+
+    sim.spawn(killer())
+    sim.run()
+    assert got == [(2.0, "x")]
+
+
+def test_killed_store_getter_returns_an_undelivered_item():
+    sim = Simulator()
+    store = Store(sim)
+    got = []
+
+    def getter():
+        got.append((yield store.get()))
+
+    doomed = sim.spawn(getter())
+
+    def producer():
+        yield sim.timeout(1.0)
+        store.put("first")
+        doomed.kill()  # "first" was handed over but not delivered
+        store.put("second")
+        with pytest.raises(ProcessKilled):
+            yield doomed
+        got.append((yield store.get()))
+        got.append((yield store.get()))
+
+    sim.spawn(producer())
+    sim.run()
+    assert got == ["first", "second"]

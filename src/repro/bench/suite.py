@@ -325,12 +325,13 @@ def _telemetry_stream(scale: float):
     """Streaming-series hot path: observe + periodic window sampling.
 
     The per-event cost a telemetered run adds on top of the engine:
-    one latency observe (windowed Welford + P² marker update) and one
-    counter add per event, with a full sample-row render every ~1000
-    observations (the 1s-cadence Sampler shape).
+    one latency observe (a buffered append, folded in batches into the
+    windowed Welford stats and the log histogram) and one counter add
+    per event, with a full sample-row render every ~1000 observations
+    (the 1s-cadence Sampler shape).
     """
     from ..obs.streaming.hub import LatencySeries
-    from ..obs.streaming.stats import QuantileSketch, WindowedCounter
+    from ..obs.streaming.stats import WindowedCounter
 
     iters = _scaled(60_000, scale, minimum=512)
 
@@ -342,8 +343,7 @@ def _telemetry_stream(scale: float):
 
     def build():
         clock = Clock()
-        latency = LatencySeries(clock, 1.0, 8, QuantileSketch(),
-                                name="bench.latency")
+        latency = LatencySeries(clock, 1.0, 8, name="bench.latency")
         counter = WindowedCounter(clock, 1.0, 8, name="bench.bytes")
 
         def run():

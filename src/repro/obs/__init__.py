@@ -15,8 +15,9 @@ Three pieces:
   over the simulator's measurement primitives, the cache's counters
   and the tracer's own self-profiling.
 - **Streaming** (:mod:`repro.obs.streaming`): windowed series,
-  quantile sketches, the sim-time sampler/time-series export and the
-  ``python -m repro monitor`` live table.
+  log-histogram latency quantiles, the sim-time sampler/time-series
+  export and the ``python -m repro monitor`` live table.  Nothing in
+  it draws randomness.
 
 Entry point: ``python -m repro trace --workload ior ...``.
 """

@@ -77,11 +77,23 @@ class MetricsRegistry:
         return obj
 
     def counter(self, name: str) -> Counter:
-        """Create-and-register convenience for a fresh Counter."""
-        return self.register(name, Counter(name))
+        """The Counter under ``name``, registered on first use."""
+        return self._get_or_create(Counter, name)
 
     def tally(self, name: str) -> Tally:
-        return self.register(name, Tally(name))
+        """The Tally under ``name``, registered on first use."""
+        return self._get_or_create(Tally, name)
+
+    def _get_or_create(self, cls, name: str):
+        if name not in self._items:
+            return self.register(name, cls(name))
+        existing = self._items[name]
+        if type(existing) is not cls:
+            raise ConfigError(
+                f"metric {name!r} is a {type(existing).__name__}, "
+                f"not a {cls.__name__}"
+            )
+        return existing
 
     def names(self) -> list[str]:
         return sorted(self._items)

@@ -4,8 +4,8 @@ End-of-run snapshots (:class:`~repro.obs.metrics.MetricsRegistry`)
 answer "what happened overall"; this package answers "what was
 happening at t" with O(1) memory per series:
 
-- :mod:`.stats` — windowed tallies/counters, P²/reservoir quantile
-  sketches (deterministic, sim-clock only);
+- :mod:`.stats` — windowed tallies/counters and the log histogram
+  behind every latency quantile (no randomness, sim-clock only);
 - :mod:`.hub` — the per-run series registry and the zero-cost-when-
   disabled hot-path adapters;
 - :mod:`.sampler` — the sim-time sampling process and JSONL/CSV
@@ -39,9 +39,6 @@ from .session import StreamTelemetry, active_telemetry
 from .stats import (
     DEFAULT_QUANTILES,
     LogHistogram,
-    P2Quantile,
-    QuantileSketch,
-    ReservoirSample,
     WindowedCounter,
     WindowedTally,
     WindowStats,
@@ -58,9 +55,6 @@ __all__ = [
     "JsonlSeriesWriter",
     "LatencySeries",
     "LogHistogram",
-    "P2Quantile",
-    "QuantileSketch",
-    "ReservoirSample",
     "Sampler",
     "SeriesWriter",
     "ServerStream",

@@ -17,7 +17,7 @@ Series kinds and their sampled row fields:
 
 - ``counter``  — cumulative count/total, window count/total, rate
 - ``tally``    — cumulative + trailing-window Welford stats
-- ``latency``  — windowed tally + streaming P50/P99/P999 sketch
+- ``latency``  — a tally plus P50/P99/P999 from a log histogram
 - ``gauge``    — one lazily evaluated value
 """
 
@@ -26,7 +26,12 @@ from __future__ import annotations
 import typing
 
 from ...errors import ConfigError
-from .stats import QuantileSketch, WindowedCounter, WindowedTally
+from .stats import (
+    DEFAULT_QUANTILES,
+    LogHistogram,
+    WindowedCounter,
+    WindowedTally,
+)
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from ...cluster.builder import Cluster
@@ -37,6 +42,10 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 #: per-series memory at ``_BUFFER_CAP`` floats regardless of stream
 #: length, so the O(1)-memory guarantee of the primitives survives.
 _BUFFER_CAP = 4096
+
+#: Ring buckets per trailing window: a sampled window slides forward
+#: in steps of ``window / _BUCKETS``.
+_BUCKETS = 8
 
 
 class CounterSeries(WindowedCounter):
@@ -107,7 +116,7 @@ class TallySeries(WindowedTally):
         super().__init__(*args, **kwargs)
         self._buf: list[float] = []
         #: Extra drain callbacks for adapters that batch into this
-        #: tally through a buffer of their own (see ServerStream).
+        #: series through a buffer of their own (see ServerStream).
         self.flushers: list = []
         self._row_cache: tuple | None = None
 
@@ -133,7 +142,7 @@ class TallySeries(WindowedTally):
 
     def as_dict(self) -> dict:
         self._flush()
-        return super().as_dict()
+        return self._row()
 
     def sample_fields(self) -> dict:
         # Idle-series fast path (see CounterSeries.sample_fields).
@@ -142,88 +151,46 @@ class TallySeries(WindowedTally):
         cached = self._row_cache
         if cached is not None and cached[0] == count and cached[2]:
             return cached[1]
-        row = WindowedTally.as_dict(self)
+        row = self._row()
         self._row_cache = (count, row, not row["window_count"])
         return row
 
+    def _row(self) -> dict:
+        """A fresh sampled row from the folded state."""
+        return WindowedTally.as_dict(self)
 
-class LatencySeries:
-    """One latency signal: windowed tally + quantile sketch.
 
-    One shared buffer feeds both aggregates, so the per-observation
-    hot path is two list appends and a length check.
+class LatencySeries(TallySeries):
+    """A tally series that also reports P50/P99/P999.
+
+    Each flushed batch folds into the windowed tally and into one
+    :class:`~repro.obs.streaming.stats.LogHistogram`, so the
+    per-observation hot path stays two list appends and a length
+    check.
     """
 
     kind = "latency"
 
-    __slots__ = ("name", "window", "sketch", "_clock", "_buf", "flushers",
-                 "_row_cache")
+    __slots__ = ("histogram",)
 
-    def __init__(self, clock, window: float, buckets: int,
-                 sketch: QuantileSketch, name: str = ""):
-        self.name = name
-        self._clock = clock
-        self.window = WindowedTally(clock, window, buckets, name=name)
-        self.sketch = sketch
-        self._buf: list[float] = []
-        #: Extra drain callbacks for adapters that batch into this
-        #: series through a buffer of their own (see ServerStream).
-        self.flushers: list = []
-        self._row_cache: tuple | None = None
-
-    def observe(self, value: float) -> None:
-        buf = self._buf
-        buf.append(self._clock.now)
-        buf.append(value)
-        if len(buf) >= _BUFFER_CAP:
-            self._flush()
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.histogram = LogHistogram()
 
     def observe_many(self, times, values) -> None:
-        """Fold pre-timestamped observations directly (adapter drain)."""
-        self.window.observe_many(times, values)
-        self.sketch.observe_many(values)
-
-    def _flush(self) -> None:
-        for drain in self.flushers:
-            drain()
-        buf = self._buf
-        if not buf:
-            return
-        self._buf = []
-        values = buf[1::2]
-        self.window.observe_many(buf[0::2], values)
-        self.sketch.observe_many(values)
-
-    @property
-    def count(self) -> int:
-        self._flush()
-        return self.window.count
+        super().observe_many(times, values)
+        self.histogram.observe_many(values)
 
     def quantile(self, q: float) -> float:
         self._flush()
-        return self.sketch.quantile(q)
+        return self.histogram.quantile(q)
 
-    def sample_fields(self) -> dict:
-        # Idle-series fast path (see CounterSeries.sample_fields).
-        self._flush()
-        count = self.window.count
-        cached = self._row_cache
-        if cached is not None and cached[0] == count and cached[2]:
-            return cached[1]
-        row = self.window.as_dict()
-        idle = not row["window_count"]
-        # Same stream: keep the tally's count, not the sketch's.  The
-        # overwrite-and-restore (rather than deleting from the sketch
-        # row) leaves the sketch's cached as_dict() dict untouched.
-        row.update(self.sketch.as_dict())
-        row["count"] = count
-        self._row_cache = (count, row, idle)
+    def _row(self) -> dict:
+        row = super()._row()
+        estimates = self.histogram.quantiles([q for q, _ in DEFAULT_QUANTILES])
+        for (_, label), estimate in zip(DEFAULT_QUANTILES, estimates):
+            row[label] = estimate
         return row
-
-    def as_dict(self) -> dict:
-        # External readers get a private copy; the sampler's shared
-        # cached row must never be mutated by a caller.
-        return dict(self.sample_fields())
 
 
 class GaugeSeries:
@@ -250,29 +217,14 @@ class GaugeSeries:
 class StreamHub:
     """Registry of the streaming series of one simulation run."""
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        window: float = 1.0,
-        buckets: int = 8,
-        sketch: str = "hist",
-        reservoir_size: int = 512,
-    ):
+    def __init__(self, sim: "Simulator", window: float = 1.0):
         self.sim = sim
         self.window = window
-        self.buckets = buckets
-        self.sketch_mode = sketch
-        self.reservoir_size = reservoir_size
         self._series: dict[str, typing.Any] = {}
         #: Sorted (name, series) pairs, rebuilt on registration: the
         #: sampler reads every series every tick, so the sort must not
         #: happen per tick.
         self._ordered: list[tuple[str, typing.Any]] = []
-        self._rng = None
-        if sketch == "reservoir":
-            # A dedicated named stream: reservoir draws can never
-            # perturb any other randomness in the simulation.
-            self._rng = sim.rng.stream("obs.reservoir")
 
     # -- registration ---------------------------------------------------
     def _register(self, name: str, series):
@@ -282,34 +234,27 @@ class StreamHub:
         self._ordered = sorted(self._series.items())
         return series
 
-    def counter(self, name: str) -> CounterSeries:
+    def _get_or_create(self, cls, name: str):
+        """The ``cls`` series named ``name``, created on first use."""
         existing = self._series.get(name)
-        if existing is not None:
-            return existing
-        return self._register(
-            name, CounterSeries(self.sim, self.window, self.buckets, name)
-        )
+        if existing is None:
+            return self._register(
+                name, cls(self.sim, self.window, _BUCKETS, name)
+            )
+        if existing.kind != cls.kind:
+            raise ConfigError(
+                f"series {name!r} is a {existing.kind}, not a {cls.kind}"
+            )
+        return existing
+
+    def counter(self, name: str) -> CounterSeries:
+        return self._get_or_create(CounterSeries, name)
 
     def tally(self, name: str) -> TallySeries:
-        existing = self._series.get(name)
-        if existing is not None:
-            return existing
-        return self._register(
-            name, TallySeries(self.sim, self.window, self.buckets, name)
-        )
+        return self._get_or_create(TallySeries, name)
 
     def latency(self, name: str) -> LatencySeries:
-        existing = self._series.get(name)
-        if existing is not None:
-            return existing
-        sketch = QuantileSketch(
-            mode=self.sketch_mode, rng=self._rng,
-            reservoir_size=self.reservoir_size,
-        )
-        return self._register(
-            name,
-            LatencySeries(self.sim, self.window, self.buckets, sketch, name),
-        )
+        return self._get_or_create(LatencySeries, name)
 
     def gauge(self, name: str, fn: typing.Callable[[], float]) -> GaugeSeries:
         return self._register(name, GaugeSeries(fn, name))

@@ -52,19 +52,11 @@ class StreamTelemetry:
         interval: float | None = None,
         series_format: str = "jsonl",
         metrics_path: str | None = None,
-        window: float | None = None,
-        buckets: int = 8,
-        sketch: str = "hist",
         profile: bool = False,
     ):
         self.series_path = series_path
         self.interval = interval if interval is not None else 1.0
         self.metrics_path = metrics_path
-        #: Trailing-window length; defaults to the sampling cadence so
-        #: consecutive rows cover disjoint windows.
-        self.window = window if window is not None else self.interval
-        self.buckets = buckets
-        self.sketch = sketch
         self.profile = profile
 
         self.writer = None
@@ -86,10 +78,9 @@ class StreamTelemetry:
             return  # several campaigns may reuse one warmed cluster
         self.end_run()
         self._cluster = cluster
-        self.hub = StreamHub(
-            cluster.sim, window=self.window, buckets=self.buckets,
-            sketch=self.sketch,
-        )
+        # The trailing window is the sampling cadence, so consecutive
+        # rows cover disjoint windows.
+        self.hub = StreamHub(cluster.sim, self.interval)
         attach_cluster(cluster, self.hub)
         if self.writer is not None:
             self.sampler = Sampler(

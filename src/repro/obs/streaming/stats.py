@@ -3,9 +3,8 @@
 Every class here is O(1) memory with respect to the stream length —
 the point of the streaming plane is that a million-request service-mode
 run can keep P99-over-time and hit-ratio trajectories without holding
-samples.  Everything is deterministic: the only randomness (the
-reservoir sketch) comes from an injected seeded RNG, and the only
-clock is the simulation clock.
+samples.  Everything is deterministic: nothing here draws randomness,
+and the only clock is the simulation clock.
 
 Primitives:
 
@@ -16,14 +15,8 @@ Primitives:
   window and an events-per-second rate.
 - :class:`LogHistogram` — log-linear (HDR-style) histogram: one
   ``frexp`` plus one bin increment per observation, quantiles with
-  bounded *relative* error.  The cheapest sketch by an order of
-  magnitude, hence the hot-path default.
-- :class:`P2Quantile` — Jain & Chlamtac's P² algorithm: one streaming
-  quantile estimate from five markers.
-- :class:`ReservoirSample` — Vitter's Algorithm R over an injected
-  seeded RNG; exact quantiles of a fixed-size uniform sample.
-- :class:`QuantileSketch` — the P50/P99/P999 bundle a latency series
-  carries, with a selectable backend (histogram by default).
+  bounded *relative* error.  Latency series report their
+  P50/P99/P999 (:data:`DEFAULT_QUANTILES`) from it.
 """
 
 from __future__ import annotations
@@ -40,9 +33,6 @@ from ...errors import ConfigError
 #: numpy's per-call overhead only pays for itself on larger batches
 #: (measured breakeven on this fold is around 60 elements).
 _VECTOR_CUTOFF = 64
-
-if typing.TYPE_CHECKING:  # pragma: no cover
-    import random
 
 
 class _Clock(typing.Protocol):  # pragma: no cover - typing aid
@@ -72,6 +62,13 @@ class WindowedTally:
     a slot whose stored id is stale is reset on first touch, so idle
     periods cost nothing.  Cumulative stats are kept alongside in the
     same pass.
+
+    Observation times may arrive out of order (a file server stamps
+    queue depth at arrival but records it at completion).  A late
+    observation whose ring slot already holds a *newer* bucket is at
+    least one window older than that bucket, so it lies outside every
+    trailing window still to be rolled up: it counts in the cumulative
+    stats only and leaves the slot alone.
     """
 
     __slots__ = (
@@ -109,10 +106,10 @@ class WindowedTally:
         """Fold a batch of timestamped observations in one pass.
 
         Equivalent (up to float associativity) to ``observe(v)`` at
-        each recorded time; ``times`` must be non-decreasing, as they
-        are when a hot-path buffer drains in arrival order.  Large
-        batches use vectorized reductions plus one Chan variance merge
-        per touched bucket, which is what makes buffered hooks cheap.
+        each recorded time, in any time order (late observations
+        follow the class rule).  Large batches use vectorized
+        reductions plus one Chan variance merge per run of equal
+        bucket ids, which is what makes buffered hooks cheap.
         """
         n = len(values)
         if not n:
@@ -156,6 +153,8 @@ class WindowedTally:
             lo = float(gmin[i])
             hi = float(gmax[i])
             rec = slots[bucket % self._nslots]
+            if rec[0] > bucket:
+                continue  # late: cumulative stats only (class docstring)
             if rec[0] != bucket:
                 rec[0] = bucket
                 rec[1] = cnt
@@ -188,6 +187,8 @@ class WindowedTally:
             self._maximum = value
         bucket = int(when / self._span)
         rec = self._slots[bucket % self._nslots]
+        if rec[0] > bucket:
+            return  # late: cumulative stats only (class docstring)
         if rec[0] != bucket:
             rec[0] = bucket
             rec[1] = 0
@@ -405,46 +406,41 @@ class LogHistogram:
     """Log-linear histogram sketch (HDR-histogram style), fixed bins.
 
     Positive values are binned by binary octave (the ``math.frexp``
-    exponent) with ``subbuckets`` linear sub-bins per octave, so an
+    exponent) with :attr:`SUBBUCKETS` linear sub-bins per octave, so an
     observation is one ``frexp``, a little integer arithmetic and one
-    list increment — roughly 10x cheaper than a P² marker pass, which
-    is what keeps per-event latency hooks inside the telemetry
-    overhead budget.
+    list increment, which is what keeps per-event latency hooks inside
+    the telemetry overhead budget.
 
     Quantile queries interpolate within the hit bin and clamp to the
     tracked exact min/max; the estimate's *relative* error is bounded
-    by the sub-bin width, ``1 / subbuckets`` (default 32 → ≤ ~3%).
-    Memory is a fixed ``(E_MAX - E_MIN) * subbuckets`` bin array —
-    constant in the stream length, like every primitive here.  Zero
-    and negative values land in a dedicated underflow bin reported as
-    the tracked minimum.
+    by the sub-bin width, ``1 / SUBBUCKETS`` (≤ ~3%).  Memory is a
+    fixed ``(E_MAX - E_MIN) * SUBBUCKETS`` bin array — constant in the
+    stream length, like every primitive here.  Zero and negative values
+    land in a dedicated underflow bin reported as the tracked minimum.
     """
 
     #: Octave range: 2^(E_MIN-1) ≈ 4.5e-13 .. 2^E_MAX ≈ 1.7e7 — far
     #: beyond any simulated latency in seconds at either end.
     E_MIN = -40
     E_MAX = 24
+    #: Linear sub-bins per octave.
+    SUBBUCKETS = 32
+    _NBINS = (E_MAX - E_MIN) * SUBBUCKETS
+    #: Scales a ``frexp`` mantissa in [0.5, 1) to a sub-bin index.
+    _SPAN = 2 * SUBBUCKETS
 
-    __slots__ = ("count", "subbuckets", "_bins", "_nbins", "_underflow",
-                 "_minimum", "_maximum", "_span", "_emin",
+    __slots__ = ("count", "_bins", "_underflow", "_minimum", "_maximum",
                  "_occ_lo", "_occ_hi")
 
-    def __init__(self, subbuckets: int = 32):
-        if subbuckets < 1:
-            raise ConfigError(f"need >= 1 sub-bucket: {subbuckets}")
-        self.subbuckets = subbuckets
-        self._nbins = (self.E_MAX - self.E_MIN) * subbuckets
-        self._bins = [0] * self._nbins
+    def __init__(self):
+        self._bins = [0] * self._NBINS
         self._underflow = 0
         self.count = 0
         self._minimum = math.inf
         self._maximum = -math.inf
-        # Hot-path constants, bound once.
-        self._span = 2 * subbuckets
-        self._emin = self.E_MIN
         # Occupied index range: quantile walks only this slice (a
         # latency stream spans a few octaves of the 2k-bin array).
-        self._occ_lo = self._nbins
+        self._occ_lo = self._NBINS
         self._occ_hi = -1
 
     def observe(self, x: float) -> None:
@@ -457,14 +453,14 @@ class LogHistogram:
             self._underflow += 1
             return
         m, e = math.frexp(x)  # x = m * 2^e with m in [0.5, 1)
-        idx = (e - self._emin) * self.subbuckets + int(
-            (m - 0.5) * self._span
+        idx = (e - self.E_MIN) * self.SUBBUCKETS + int(
+            (m - 0.5) * self._SPAN
         )
         if idx < 0:
             self._underflow += 1
             return
-        if idx >= self._nbins:
-            idx = self._nbins - 1
+        if idx >= self._NBINS:
+            idx = self._NBINS - 1
         self._bins[idx] += 1
         if idx < self._occ_lo:
             self._occ_lo = idx
@@ -494,8 +490,8 @@ class LogHistogram:
         if not len(positive):
             return
         m, e = np.frexp(positive)
-        idx = (e.astype(np.int64) - self._emin) * self.subbuckets + (
-            (m - 0.5) * self._span
+        idx = (e.astype(np.int64) - self.E_MIN) * self.SUBBUCKETS + (
+            (m - 0.5) * self._SPAN
         ).astype(np.int64)
         low = idx < 0
         if low.any():
@@ -503,7 +499,7 @@ class LogHistogram:
             idx = idx[~low]
             if not len(idx):
                 return
-        np.clip(idx, 0, self._nbins - 1, out=idx)
+        np.clip(idx, 0, self._NBINS - 1, out=idx)
         counts = np.bincount(idx)
         hit = np.flatnonzero(counts)
         bins = self._bins
@@ -526,17 +522,17 @@ class LogHistogram:
 
     def _bin_bounds(self, idx: int) -> tuple[float, float]:
         """The value range ``[lo, hi)`` that bin ``idx`` covers."""
-        octave, sub = divmod(idx, self.subbuckets)
-        base = math.ldexp(1.0, octave + self._emin - 1)  # 2^(e-1)
-        width = base / self.subbuckets
+        octave, sub = divmod(idx, self.SUBBUCKETS)
+        base = math.ldexp(1.0, octave + self.E_MIN - 1)  # 2^(e-1)
+        width = base / self.SUBBUCKETS
         lo = base + sub * width
         return lo, lo + width
 
     def quantile(self, q: float) -> float:
         """Estimate the ``q``-quantile (0.0 when empty).
 
-        Uses the same fractional-rank convention as the exact
-        small-sample paths elsewhere in this module: rank
+        Uses the fractional-rank convention of
+        ``statistics.quantiles(method="inclusive")``: rank
         ``q * (count - 1)`` over the ordered stream, interpolated
         linearly inside the hit bin.
         """
@@ -597,274 +593,8 @@ class LogHistogram:
             i += 1
         return out
 
-    def as_dict(self) -> dict:
-        row: dict = {"count": self.count,
-                     "min": self.minimum, "max": self.maximum}
-        estimates = self.quantiles([q for q, _ in DEFAULT_QUANTILES])
-        for (_, label), estimate in zip(DEFAULT_QUANTILES, estimates):
-            row[label] = estimate
-        return row
-
-
-class P2Quantile:
-    """One streaming quantile via the P² algorithm (Jain & Chlamtac).
-
-    Five markers track the minimum, the target quantile, the quantile's
-    neighbourhood and the maximum; marker heights move by parabolic
-    (falling back to linear) interpolation.  Exact until five samples,
-    O(1) memory and deterministic forever after.
-    """
-
-    __slots__ = ("q", "count", "_heights", "_pos", "_desired", "_incr")
-
-    def __init__(self, q: float):
-        if not 0.0 < q < 1.0:
-            raise ConfigError(f"quantile must be in (0, 1): {q}")
-        self.q = q
-        self.count = 0
-        self._heights: list[float] = []
-        self._pos: list[float] = []
-        self._desired: list[float] = []
-        self._incr: list[float] = []
-
-    def observe(self, x: float) -> None:
-        self.count += 1
-        heights = self._heights
-        if self.count <= 5:
-            lo, hi = 0, len(heights)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if heights[mid] < x:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            heights.insert(lo, x)
-            if self.count == 5:
-                q = self.q
-                self._pos = [1.0, 2.0, 3.0, 4.0, 5.0]
-                self._desired = [1.0, 1 + 2 * q, 1 + 4 * q, 3 + 2 * q, 5.0]
-                self._incr = [0.0, q / 2, q, (1 + q) / 2, 1.0]
-            return
-
-        pos = self._pos
-        if x < heights[0]:
-            heights[0] = x
-            k = 0
-        elif x >= heights[4]:
-            heights[4] = x
-            k = 3
-        else:
-            k = 0
-            while k < 3 and heights[k + 1] <= x:
-                k += 1
-        for i in range(k + 1, 5):
-            pos[i] += 1.0
-        desired = self._desired
-        incr = self._incr
-        for i in range(5):
-            desired[i] += incr[i]
-        for i in (1, 2, 3):
-            d = desired[i] - pos[i]
-            below = pos[i] - pos[i - 1]
-            above = pos[i + 1] - pos[i]
-            if (d >= 1.0 and above > 1.0) or (d <= -1.0 and below > 1.0):
-                step = 1.0 if d > 0 else -1.0
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                pos[i] += step
-
-    def _parabolic(self, i: int, d: float) -> float:
-        h, n = self._heights, self._pos
-        return h[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, d: float) -> float:
-        h, n = self._heights, self._pos
-        j = i + int(d)
-        return h[i] + d * (h[j] - h[i]) / (n[j] - n[i])
-
-    def value(self) -> float:
-        """Current estimate of the target quantile (0.0 when empty)."""
-        if not self.count:
-            return 0.0
-        heights = self._heights
-        if self.count <= 5:
-            # Exact small-sample quantile (nearest-rank interpolation).
-            rank = self.q * (len(heights) - 1)
-            lo = int(rank)
-            hi = min(lo + 1, len(heights) - 1)
-            frac = rank - lo
-            return heights[lo] + (heights[hi] - heights[lo]) * frac
-        return heights[2]
-
-
-class ReservoirSample:
-    """Fixed-size uniform sample (Vitter's Algorithm R), seeded RNG.
-
-    The RNG must be an injected named stream
-    (``sim.rng.stream("obs.reservoir")``) so sketching never perturbs
-    any other random draw in the simulation.
-    """
-
-    __slots__ = ("size", "rng", "count", "_buf")
-
-    def __init__(self, rng: "random.Random", size: int = 512):
-        if size < 1:
-            raise ConfigError(f"reservoir size must be >= 1: {size}")
-        self.size = size
-        self.rng = rng
-        self.count = 0
-        self._buf: list[float] = []
-
-    def observe(self, x: float) -> None:
-        self.count += 1
-        if len(self._buf) < self.size:
-            self._buf.append(x)
-            return
-        j = self.rng.randrange(self.count)
-        if j < self.size:
-            self._buf[j] = x
-
-    def quantile(self, q: float) -> float:
-        if not self._buf:
-            return 0.0
-        data = sorted(self._buf)
-        rank = q * (len(data) - 1)
-        lo = int(rank)
-        hi = min(lo + 1, len(data) - 1)
-        frac = rank - lo
-        return data[lo] + (data[hi] - data[lo]) * frac
-
 
 #: Quantile targets a latency series reports, with their row labels.
 DEFAULT_QUANTILES: tuple[tuple[float, str], ...] = (
     (0.5, "p50"), (0.99, "p99"), (0.999, "p999"),
 )
-
-
-class QuantileSketch:
-    """Streaming P50/P99/P999 with selectable backend.
-
-    ``mode="hist"`` (default) keeps one shared :class:`LogHistogram` —
-    the cheapest observe by an order of magnitude, bounded relative
-    error, any quantile queryable.  ``mode="p2"`` runs one
-    :class:`P2Quantile` per target (bounded *rank* error, only the
-    target quantiles queryable).  ``mode="reservoir"`` keeps one
-    shared :class:`ReservoirSample` (pass ``rng``), exact for streams
-    up to the reservoir size and an unbiased estimate beyond.  All
-    three are deterministic and O(1) memory in the stream length.
-    """
-
-    __slots__ = ("targets", "_ordered_targets", "_row_cache", "mode",
-                 "_count", "_minimum", "_maximum",
-                 "_p2", "_reservoir", "_hist")
-
-    def __init__(
-        self,
-        targets: typing.Sequence[tuple[float, str]] = DEFAULT_QUANTILES,
-        mode: str = "hist",
-        rng: "random.Random | None" = None,
-        reservoir_size: int = 512,
-        subbuckets: int = 32,
-    ):
-        if mode not in ("hist", "p2", "reservoir"):
-            raise ConfigError(f"unknown sketch mode {mode!r}")
-        if mode == "reservoir" and rng is None:
-            raise ConfigError("reservoir sketch needs a seeded rng stream")
-        self.targets = tuple(targets)
-        self._ordered_targets = tuple(sorted(self.targets))
-        #: (count, row) pair backing the as_dict read cache.
-        self._row_cache: tuple[int, dict] | None = None
-        self.mode = mode
-        self._count = 0
-        self._minimum = math.inf
-        self._maximum = -math.inf
-        self._hist = LogHistogram(subbuckets) if mode == "hist" else None
-        self._p2 = (
-            {label: P2Quantile(q) for q, label in self.targets}
-            if mode == "p2" else None
-        )
-        self._reservoir = (
-            ReservoirSample(rng, reservoir_size)
-            if mode == "reservoir" else None
-        )
-
-    def observe(self, x: float) -> None:
-        # Hot path: the histogram tracks count/min/max itself, so the
-        # default mode is a single delegated call.
-        hist = self._hist
-        if hist is not None:
-            hist.observe(x)
-            return
-        self._count += 1
-        if x < self._minimum:
-            self._minimum = x
-        if x > self._maximum:
-            self._maximum = x
-        if self._p2 is not None:
-            for sketch in self._p2.values():
-                sketch.observe(x)
-        else:
-            self._reservoir.observe(x)
-
-    def observe_many(self, values) -> None:
-        """Fold a batch of observations (vectorized for histograms;
-        the order-sensitive P²/reservoir backends loop)."""
-        if self._hist is not None:
-            self._hist.observe_many(values)
-            return
-        for x in values:
-            self.observe(x)
-
-    def quantile(self, q: float) -> float:
-        if self._hist is not None:
-            return self._hist.quantile(q)
-        if self._reservoir is not None:
-            return self._reservoir.quantile(q)
-        for target, label in self.targets:
-            if target == q:
-                return self._p2[label].value()
-        raise ConfigError(f"quantile {q} not tracked by this sketch")
-
-    @property
-    def count(self) -> int:
-        return self._hist.count if self._hist is not None else self._count
-
-    @property
-    def minimum(self) -> float:
-        if self._hist is not None:
-            return self._hist.minimum
-        return self._minimum if self._count else 0.0
-
-    @property
-    def maximum(self) -> float:
-        if self._hist is not None:
-            return self._hist.maximum
-        return self._maximum if self._count else 0.0
-
-    def as_dict(self) -> dict:
-        # Cumulative state only changes with observations, so a row is
-        # valid for as long as the count stands still — an idle series
-        # (a cserver during a read-only phase) costs one int compare
-        # per sample tick instead of a quantile walk.
-        count = self.count
-        cached = self._row_cache
-        if cached is not None and cached[0] == count:
-            return cached[1]
-        row: dict = {"count": count,
-                     "min": self.minimum, "max": self.maximum}
-        if self._hist is not None:
-            ordered = self._ordered_targets
-            estimates = self._hist.quantiles([q for q, _ in ordered])
-            for (_, label), estimate in zip(ordered, estimates):
-                row[label] = estimate
-        else:
-            for q, label in self.targets:
-                row[label] = self.quantile(q)
-        self._row_cache = (count, row)
-        return row

@@ -92,21 +92,9 @@ class _Progress:
     def __init__(self, metrics: "MetricsRegistry | None"):
         self.done = self.failed = self.seconds = None
         if metrics is not None:
-            self.done = (
-                metrics.get("parallel.tasks_done")
-                if "parallel.tasks_done" in metrics
-                else metrics.counter("parallel.tasks_done")
-            )
-            self.failed = (
-                metrics.get("parallel.tasks_failed")
-                if "parallel.tasks_failed" in metrics
-                else metrics.counter("parallel.tasks_failed")
-            )
-            self.seconds = (
-                metrics.get("parallel.task_seconds")
-                if "parallel.task_seconds" in metrics
-                else metrics.tally("parallel.task_seconds")
-            )
+            self.done = metrics.counter("parallel.tasks_done")
+            self.failed = metrics.counter("parallel.tasks_failed")
+            self.seconds = metrics.tally("parallel.task_seconds")
 
     def ok(self, wall_seconds: float | None = None) -> None:
         if self.done is not None:
@@ -391,16 +379,8 @@ def _check_liveness(
 
 def _record_stats(metrics: "MetricsRegistry", stats: StealStats) -> None:
     """Mirror drain telemetry into ``repro.obs`` counters."""
-    busy = (
-        metrics.get("parallel.worker_busy_seconds")
-        if "parallel.worker_busy_seconds" in metrics
-        else metrics.tally("parallel.worker_busy_seconds")
-    )
-    drained = (
-        metrics.get("parallel.worker_tasks")
-        if "parallel.worker_tasks" in metrics
-        else metrics.tally("parallel.worker_tasks")
-    )
+    busy = metrics.tally("parallel.worker_busy_seconds")
+    drained = metrics.tally("parallel.worker_tasks")
     for worker in stats.workers:
         busy.observe(worker.busy_seconds)
         drained.observe(worker.tasks)

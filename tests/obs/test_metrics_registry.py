@@ -72,6 +72,22 @@ def test_registry_conveniences_and_json():
     assert data["lat"]["mean"] == 1.0
 
 
+def test_registry_counter_and_tally_get_or_create():
+    registry = MetricsRegistry()
+    reqs = registry.counter("reqs")
+    assert registry.counter("reqs") is reqs
+    lat = registry.tally("lat")
+    assert registry.tally("lat") is lat
+    registry.register("plain", 3)
+    for make, name in ((registry.tally, "reqs"), (registry.counter, "lat"),
+                       (registry.counter, "plain")):
+        with pytest.raises(ConfigError):
+            make(name)
+    with pytest.raises(ConfigError):
+        registry.register("reqs", Counter("reqs"))  # register() still strict
+    assert len(registry) == 3
+
+
 def test_registry_for_cluster_snapshot(tmp_path):
     spec = ClusterSpec(num_dservers=2, num_cservers=1, num_nodes=2, seed=5)
     workload = IORWorkload(2, 16 * 1024, 4 * 1024 * 1024,

@@ -140,6 +140,13 @@ def test_hub_registry_dedup_and_validation():
     assert hub.latency("lat") is hub.latency("lat")
     with pytest.raises(ConfigError):
         hub.gauge("cache.hits", lambda: 0.0)  # cross-kind collision
+    # Get-or-create never hands back a series of another kind (a
+    # latency series is a tally underneath, but not a "tally").
+    for make, name in ((hub.counter, "lat"), (hub.tally, "lat"),
+                       (hub.latency, "cache.hits"),
+                       (hub.tally, "cache.hits")):
+        with pytest.raises(ConfigError):
+            make(name)
     assert "cache.hits" in hub
     assert len(hub) == 2
     assert hub.names() == ["cache.hits", "lat"]

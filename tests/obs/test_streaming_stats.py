@@ -6,7 +6,6 @@ both claims are checked here against exact references
 streams.
 """
 
-import math
 import random
 import statistics
 
@@ -17,12 +16,12 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError
 from repro.obs.streaming import (
     LogHistogram,
-    P2Quantile,
-    QuantileSketch,
-    ReservoirSample,
+    StreamHub,
     WindowedCounter,
     WindowedTally,
 )
+from repro.obs.streaming.stats import _VECTOR_CUTOFF
+from repro.sim import Simulator
 
 
 class Clock:
@@ -56,7 +55,7 @@ def test_log_histogram_relative_error_bound(seed, dist):
     hist = LogHistogram()
     for x in data:
         hist.observe(x)
-    bound = 1.0 / hist.subbuckets
+    bound = 1.0 / LogHistogram.SUBBUCKETS
     for q in (0.5, 0.9, 0.99, 0.999):
         exact = exact_quantile(data, q)
         estimate = hist.quantile(q)
@@ -76,7 +75,7 @@ def test_log_histogram_vs_statistics_quantiles():
     for pct in (50, 90, 99):
         exact = cuts[pct - 1]
         estimate = hist.quantile(pct / 100.0)
-        assert abs(estimate - exact) <= exact / hist.subbuckets + 1e-12
+        assert abs(estimate - exact) <= exact / LogHistogram.SUBBUCKETS + 1e-12
 
 
 def test_log_histogram_bulk_equals_scalar_exactly():
@@ -115,50 +114,32 @@ def test_log_histogram_memory_constant_in_stream_length():
     assert hist.count == 10_100
 
 
-# -- P2 -------------------------------------------------------------------
-@pytest.mark.parametrize("seed", [1, 13, 99])
-def test_p2_median_tracks_exact(seed):
-    rng = random.Random(seed)
-    data = [rng.gauss(10.0, 2.0) for _ in range(10_000)]
-    sketch = P2Quantile(0.5)
+# -- latency series row ----------------------------------------------------
+def test_latency_series_row_is_exact_and_quantiles_bounded():
+    # 1024 distinct dyadic values over four octaves: every partial sum
+    # and the division by a power of two are exact, so the folded mean
+    # must equal the exact one bit for bit.
+    data = [round(2 ** (k / 256) * 2**20) * 2.0**-30 for k in range(1024)]
+    random.Random(9).shuffle(data)
+    series = StreamHub(Simulator(seed=0)).latency("lat")
     for x in data:
-        sketch.observe(x)
-    exact = exact_quantile(data, 0.5)
-    assert abs(sketch.value() - exact) <= 0.05 * abs(exact)
-    assert len(sketch._heights) == 5  # O(1): five markers forever
-
-
-def test_p2_exact_below_five_samples():
-    sketch = P2Quantile(0.5)
-    for x in (3.0, 1.0, 2.0):
-        sketch.observe(x)
-    assert sketch.value() == 2.0
-
-
-# -- reservoir ------------------------------------------------------------
-def test_reservoir_exact_until_full_and_bounded_after():
-    rng = random.Random(4)
-    sample = ReservoirSample(random.Random(0), size=64)
-    data = [rng.random() for _ in range(64)]
-    for x in data:
-        sample.observe(x)
-    assert sample.quantile(0.5) == exact_quantile(data, 0.5)
-    for _ in range(10_000):
-        sample.observe(rng.random())
-    assert len(sample._buf) == 64
-    assert sample.count == 10_064
-
-
-def test_reservoir_deterministic_given_seed():
-    def fill(seed):
-        sample = ReservoirSample(random.Random(seed), size=16)
-        feed = random.Random(8)
-        for _ in range(1_000):
-            sample.observe(feed.random())
-        return list(sample._buf)
-
-    assert fill(5) == fill(5)
-    assert fill(5) != fill(6)
+        series.observe(x)
+    # All of it folds in one flush, through the vectorised path.
+    assert len(data) > _VECTOR_CUTOFF
+    row = series.sample_fields()
+    # CSV_COLUMNS and the monitor read these fields in this order.
+    assert list(row) == [
+        "count", "mean", "stdev", "min", "max",
+        "window_count", "window_mean", "window_max",
+        "p50", "p99", "p999",
+    ]
+    assert row["count"] == len(data)
+    assert row["mean"] == statistics.fmean(data)
+    assert row["min"] == min(data)
+    assert row["max"] == max(data)
+    for q, label in ((0.5, "p50"), (0.99, "p99"), (0.999, "p999")):
+        exact = exact_quantile(data, q)
+        assert abs(row[label] - exact) <= exact / LogHistogram.SUBBUCKETS
 
 
 # -- windowed tally vs brute-force oracle ---------------------------------
@@ -169,6 +150,25 @@ def oracle_window(samples, now, window, buckets):
     oldest = current - buckets + 1
     live = [v for t, v in samples if oldest <= int(t / span) <= current]
     return live
+
+
+def assert_rollup_matches_oracle(tally, samples):
+    """``tally`` (window 2.0, 8 buckets) rolled up at its clock's now."""
+    window = tally.rollup()
+    live = oracle_window(samples, tally.clock.now, 2.0, 8)
+    assert window.count == len(live)
+    if live:
+        assert window.mean == pytest.approx(statistics.fmean(live))
+        assert window.minimum == min(live)
+        assert window.maximum == max(live)
+        if len(live) > 1:
+            assert window.variance == pytest.approx(
+                statistics.variance(live), abs=1e-9
+            )
+    # Cumulative side is window-independent.
+    values = [v for _, v in samples]
+    assert tally.count == len(values)
+    assert tally.mean == pytest.approx(statistics.fmean(values))
 
 
 @settings(max_examples=60, deadline=None)
@@ -189,21 +189,39 @@ def test_windowed_tally_rollup_matches_oracle(raw):
     for t, v in samples:
         clock.now = t
         tally.observe(v)
-    window = tally.rollup()
-    live = oracle_window(samples, clock.now, 2.0, 8)
-    assert window.count == len(live)
-    if live:
-        assert window.mean == pytest.approx(statistics.fmean(live))
-        assert window.minimum == min(live)
-        assert window.maximum == max(live)
-        if len(live) > 1:
-            assert window.variance == pytest.approx(
-                statistics.variance(live), abs=1e-9
-            )
-    # Cumulative side is window-independent.
-    values = [v for _, v in samples]
-    assert tally.count == len(values)
-    assert tally.mean == pytest.approx(statistics.fmean(values))
+    assert_rollup_matches_oracle(tally, samples)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(0.0, 50.0, allow_nan=False),
+            st.floats(-1e3, 1e3, allow_nan=False),
+        ),
+        min_size=_VECTOR_CUTOFF,
+        max_size=200,
+    )
+)
+def test_windowed_tally_rollup_matches_oracle_unsorted(raw):
+    """Late observations must not evict newer buckets from the ring.
+
+    A file server stamps queue depth at arrival but records it at
+    completion, so a tally sees times out of order.  Both fold paths
+    (scalar ``observe`` and the vectorised ``observe_many``) are rolled
+    up at the latest time and checked against the oracle.
+    """
+    now = max(t for t, _ in raw)
+    clock = Clock()
+    scalar = WindowedTally(clock, window=2.0, buckets=8)
+    for t, v in raw:
+        clock.now = t
+        scalar.observe(v)
+    clock.now = now
+    assert_rollup_matches_oracle(scalar, raw)
+    bulk = WindowedTally(clock, window=2.0, buckets=8)
+    bulk.observe_many([t for t, _ in raw], [v for _, v in raw])
+    assert_rollup_matches_oracle(bulk, raw)
 
 
 @settings(max_examples=40, deadline=None)
@@ -276,47 +294,8 @@ def test_windowed_tally_idle_gap_resets_slots():
     assert tally.count == 2
 
 
-# -- QuantileSketch bundle ------------------------------------------------
-def test_quantile_sketch_modes():
-    rng = random.Random(21)
-    data = [rng.expovariate(100.0) for _ in range(3_000)]
-    hist = QuantileSketch()  # default: histogram backend
-    p2 = QuantileSketch(mode="p2")
-    res = QuantileSketch(mode="reservoir", rng=random.Random(0),
-                         reservoir_size=256)
-    for x in data:
-        hist.observe(x)
-        p2.observe(x)
-        res.observe(x)
-    exact = exact_quantile(data, 0.5)
-    for sketch in (hist, p2, res):
-        assert sketch.count == len(data)
-        assert sketch.minimum == min(data)
-        assert sketch.maximum == max(data)
-        assert sketch.quantile(0.5) == pytest.approx(exact, rel=0.1)
-        row = sketch.as_dict()
-        assert set(row) >= {"count", "min", "max", "p50", "p99", "p999"}
-
-
 def test_quantile_sketch_validation():
-    with pytest.raises(ConfigError):
-        QuantileSketch(mode="nope")
-    with pytest.raises(ConfigError):
-        QuantileSketch(mode="reservoir")  # rng required
-    with pytest.raises(ConfigError):
-        P2Quantile(1.5)
-    with pytest.raises(ConfigError):
-        ReservoirSample(random.Random(0), size=0)
     with pytest.raises(ConfigError):
         WindowedTally(Clock(), window=0.0)
     with pytest.raises(ConfigError):
         WindowedCounter(Clock(), window=1.0, buckets=0)
-    with pytest.raises(ConfigError):
-        LogHistogram(subbuckets=0)
-
-
-def test_p2_mode_untracked_quantile_raises():
-    sketch = QuantileSketch(mode="p2")
-    sketch.observe(1.0)
-    with pytest.raises(ConfigError):
-        sketch.quantile(0.42)

@@ -29,6 +29,7 @@ from .cliutil import (
     add_streaming_args,
     add_workload_args,
     build_workload,
+    output_path,
     spec_from,
     telemetry_from,
 )
@@ -312,11 +313,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     add_workload_args(trace)
     add_cluster_args(trace)
-    trace.add_argument("--out", default="trace.json",
+    trace.add_argument("--out", type=output_path, default="trace.json",
                        help="Chrome trace-event output file")
-    trace.add_argument("--jsonl", default=None,
+    trace.add_argument("--jsonl", type=output_path, default=None,
                        help="also dump raw spans as JSON lines")
-    trace.add_argument("--metrics", default=None,
+    trace.add_argument("--metrics", type=output_path, default=None,
                        help="also dump a unified metrics snapshot (JSON)")
     trace.add_argument("--stock", action="store_true",
                        help="trace the stock system instead of S4D-Cache")

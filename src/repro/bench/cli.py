@@ -87,9 +87,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--list", action="store_true",
                         help="list benchmark names and exit")
     parser.add_argument("--parallel-receipt", default=None, metavar="PATH",
-                        help="measure the parallel sweep + coalescing "
-                             "fast path, write a BENCH_parallel.json "
-                             "receipt, and exit")
+                        help="measure the parallel sweep and one "
+                             "campaign's sub-request coalescing, write a "
+                             "BENCH_parallel.json receipt, and exit")
     parser.add_argument("--sweep-receipt", default=None, metavar="PATH",
                         help="measure the content-addressed sweep cache "
                              "(cold vs warm) and work-stealing drain, "

@@ -9,6 +9,21 @@ Everything here is CLI-only — no simulation state.
 from __future__ import annotations
 
 import argparse
+import os
+
+
+def output_path(value: str) -> str:
+    """argparse ``type=`` for an output file: its directory must exist.
+
+    Checked at parse time, so a mistyped path fails before the
+    simulation runs instead of after it.
+    """
+    directory = os.path.dirname(value) or "."
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(
+            f"directory does not exist: {directory}"
+        )
+    return value
 
 
 def add_workload_args(parser: argparse.ArgumentParser) -> None:
@@ -34,12 +49,6 @@ def add_cluster_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--policy", default="selective")
     parser.add_argument("--cache-fraction", type=float, default=0.20)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--coalesce", action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help="merge per-server-contiguous stripe fragments "
-                             "before issuing PFS sub-requests (default on; "
-                             "--no-coalesce restores the legacy per-fragment "
-                             "timing)")
 
 
 def add_jobs_arg(parser: argparse.ArgumentParser) -> None:
@@ -100,7 +109,7 @@ def add_streaming_args(parser: argparse.ArgumentParser) -> None:
              "(enables the time-series export; implies --jobs 1)",
     )
     group.add_argument(
-        "--series-out", default=None, metavar="PATH",
+        "--series-out", type=output_path, default=None, metavar="PATH",
         help="time-series output file (default series.jsonl when "
              "--sample-interval is given)",
     )
@@ -110,7 +119,7 @@ def add_streaming_args(parser: argparse.ArgumentParser) -> None:
              "tails jsonl)",
     )
     group.add_argument(
-        "--metrics-out", default=None, metavar="PATH",
+        "--metrics-out", type=output_path, default=None, metavar="PATH",
         help="write end-of-run registry snapshot(s) as JSON "
              "(implies --jobs 1)",
     )
@@ -147,19 +156,16 @@ def telemetry_from(args: argparse.Namespace):
 
 def spec_from(args: argparse.Namespace, processes: int):
     """Build a ClusterSpec from a cluster-flag namespace."""
-    from .cluster import DEFAULT_COALESCE, ClusterSpec
+    from .cluster import ClusterSpec
 
-    coalesce = getattr(args, "coalesce", None)
-    if coalesce is None:
-        coalesce = DEFAULT_COALESCE
     return ClusterSpec(
         num_dservers=args.dservers,
         num_cservers=args.cservers,
-        num_nodes=args.nodes or min(processes, 32),
+        num_nodes=(args.nodes if args.nodes is not None
+                   else min(processes, 32)),
         cache_fraction=args.cache_fraction,
         policy=args.policy,
         seed=args.seed,
-        coalesce=coalesce,
     )
 
 
@@ -180,7 +186,7 @@ def build_workload(args: argparse.Namespace):
         )
     if args.workload == "hpio":
         return HPIOWorkload(
-            args.processes, region_count=args.requests_per_rank or 512,
+            args.processes, region_count=args.requests_per_rank,
             region_size=args.request_size, region_spacing=args.spacing,
             seed=args.seed,
         )

@@ -15,12 +15,11 @@
 from .builder import Cluster, build_cluster
 from .calibrate import calibrate_cost_params
 from .runner import RunResult, run_workload
-from .spec import DEFAULT_COALESCE, ClusterSpec
+from .spec import ClusterSpec
 
 __all__ = [
     "Cluster",
     "ClusterSpec",
-    "DEFAULT_COALESCE",
     "RunResult",
     "build_cluster",
     "calibrate_cost_params",

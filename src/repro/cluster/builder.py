@@ -67,8 +67,7 @@ def build_cluster(
         for i in range(spec.num_dservers)
     ]
     opfs = PFS(sim, "opfs", dservers, PFSSpec(stripe_size=spec.d_stripe))
-    direct = DirectIO(sim, opfs, fabric, num_nodes=spec.num_nodes,
-                      coalesce=spec.coalesce)
+    direct = DirectIO(sim, opfs, fabric, num_nodes=spec.num_nodes)
 
     if not s4d:
         return Cluster(spec, sim, fabric, opfs, None, direct, None)

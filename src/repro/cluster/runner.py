@@ -82,7 +82,6 @@ def run_workload(
     cache_capacity: int | str | None = None,
     phases: typing.Sequence[str] = ("write", "read"),
     read_runs: int = 2,
-    drain_between: bool = True,
     cluster: Cluster | None = None,
     obs=None,
     telemetry=None,
@@ -138,7 +137,7 @@ def run_workload(
             if phase == "write":
                 results["write"] = _run_phase(cluster, instances, "write",
                                               telemetry)
-                if cluster.middleware is not None and drain_between:
+                if cluster.middleware is not None:
                     _drain(cluster, telemetry)
             elif phase == "read":
                 for run in range(1, read_runs + 1):
@@ -147,11 +146,11 @@ def run_workload(
                     results[f"read{run}"] = _run_phase(
                         cluster, instances, "read", telemetry
                     )
-                    if cluster.middleware is not None and drain_between:
+                    if cluster.middleware is not None:
                         _drain(cluster, telemetry)
             elif phase == "interleaved":
-                _run_interleaved(cluster, instances, read_runs,
-                                 drain_between, results, telemetry)
+                _run_interleaved(cluster, instances, read_runs, results,
+                                 telemetry)
             else:
                 raise ExperimentError(f"unknown phase {phase!r}")
     finally:
@@ -164,7 +163,6 @@ def _run_interleaved(
     cluster: Cluster,
     instances: list[Workload],
     read_runs: int,
-    drain_between: bool,
     results: dict[str, PhaseResult],
     telemetry=None,
 ) -> None:
@@ -190,14 +188,14 @@ def _run_interleaved(
         first_read.per_instance.extend(part.per_instance)
     results["write"] = write
     results["read1"] = first_read
-    if cluster.middleware is not None and drain_between:
+    if cluster.middleware is not None:
         _drain(cluster, telemetry)
     for run in range(2, read_runs + 1):
         if cluster.middleware is not None:
             cluster.middleware.identifier.reset_streams()
         results[f"read{run}"] = _run_phase(cluster, instances, "read",
                                            telemetry)
-        if cluster.middleware is not None and drain_between:
+        if cluster.middleware is not None:
             _drain(cluster, telemetry)
 
 

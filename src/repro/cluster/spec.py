@@ -8,10 +8,9 @@ from ..core.policy import make_policy
 from ..devices import HDDSpec, SSDSpec
 from ..errors import ConfigError
 from ..network import NetworkSpec
-from ..pfs import DEFAULT_COALESCE
 from ..units import GiB, KiB, parse_size
 
-__all__ = ["ClusterSpec", "DEFAULT_COALESCE"]
+__all__ = ["ClusterSpec"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -50,13 +49,6 @@ class ClusterSpec:
     rebuild_budget: int = 4 * 1024 * 1024
     #: Metadata lock shards per file (§III.D distributed metadata).
     metadata_shards: int = 1
-    #: Per-server-round sub-request coalescing (ROMIO-style): merge a
-    #: request's locally-contiguous stripe fragments into one message
-    #: per server before they hit the wire.  On by default (the golden
-    #: fixtures are blessed under coalescing); ``coalesce=False`` — or
-    #: ``--no-coalesce`` on the CLIs — restores the legacy
-    #: per-fragment timing, pinned by its own legacy fixture.
-    coalesce: bool = DEFAULT_COALESCE
     #: RNG seed for the whole simulation.
     seed: int = 42
 

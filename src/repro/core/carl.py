@@ -125,8 +125,7 @@ class CARLPlacementLayer(IOLayer):
         self.plan = plan
         self.lookup_overhead = lookup_overhead
         self._cpfs_clients = [
-            PFSClient(sim, cpfs, direct.fabric, direct.node_for(node),
-                      coalesce=direct.coalesce)
+            PFSClient(sim, cpfs, direct.fabric, direct.node_for(node))
             for node in range(direct.num_nodes)
         ]
         #: path -> interval map marking SSD-resident byte ranges.

@@ -96,16 +96,14 @@ class S4DCacheMiddleware(IOLayer):
         # Cache-side PFS clients: one per compute node (the redirected
         # request is issued by the same node that issued the original),
         # plus a dedicated mover endpoint for the Rebuilder.
-        coalesce = direct.coalesce
         self._cpfs_clients = [
-            PFSClient(sim, cpfs, direct.fabric, direct.node_for(node),
-                      coalesce=coalesce)
+            PFSClient(sim, cpfs, direct.fabric, direct.node_for(node))
             for node in range(direct.num_nodes)
         ]
         self._mover_opfs = PFSClient(sim, direct.pfs, direct.fabric, "mover",
-                                     coalesce=coalesce, spawn_flows=True)
+                                     spawn_flows=True)
         self._mover_cpfs = PFSClient(sim, cpfs, direct.fabric, "mover",
-                                     coalesce=coalesce, spawn_flows=True)
+                                     spawn_flows=True)
         self.rebuilder = Rebuilder(
             sim,
             self.dmt,
@@ -116,8 +114,7 @@ class S4DCacheMiddleware(IOLayer):
             self._resolve_handles,
             self.metrics,
             interval=rebuild_interval,
-            flush_budget=rebuild_budget,
-            fetch_budget=rebuild_budget,
+            budget=rebuild_budget,
         )
         self._open_files = 0
         #: Interned per-rank lock-owner labels (avoids an f-string per

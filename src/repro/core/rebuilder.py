@@ -21,7 +21,7 @@ kill/stale paths before the extent is published to the DMT.
 §IV.C implements this as one helper thread per MPI process; here a
 single simulated process per middleware instance does the same work —
 the serialisation difference only matters for reorganisation
-throughput, which the budget parameters control explicitly.
+throughput, which the budget parameter controls explicitly.
 """
 
 from __future__ import annotations
@@ -46,6 +46,11 @@ HandleResolver = typing.Callable[[str], tuple[PFSFile, PFSFile]]
 class Rebuilder:
     """Periodic flush/fetch engine over the cache tables."""
 
+    #: Concurrent data movements per batch: a serial mover would keep
+    #: only one file server busy at a time and the write-back of sparse
+    #: random extents would crawl at single-device random-IOPS speed.
+    PARALLELISM = 16
+
     def __init__(
         self,
         sim: "Simulator",
@@ -57,10 +62,8 @@ class Rebuilder:
         resolve: HandleResolver,
         metrics: CacheMetrics | None = None,
         interval: float = 0.25,
-        flush_budget: int = 32 * 1024 * 1024,
-        fetch_budget: int = 32 * 1024 * 1024,
+        budget: int = 32 * 1024 * 1024,
         priority: int = PRIORITY_LOW,
-        parallelism: int = 16,
     ):
         self.sim = sim
         self.dmt = dmt
@@ -71,17 +74,12 @@ class Rebuilder:
         self.resolve = resolve
         self.metrics = metrics if metrics is not None else CacheMetrics()
         self.interval = interval
-        self.flush_budget = flush_budget
-        self.fetch_budget = fetch_budget
+        #: Bytes each pass (flush, then fetch) may move per cycle.
+        self.budget = budget
         #: I/O priority of reorganisation traffic.  §III.F prescribes
         #: low priority; the ablation benchmark flips this to measure
         #: the interference that decision avoids.
         self.priority = priority
-        #: Concurrent data movements per batch: a serial mover would
-        #: keep only one file server busy at a time and the write-back
-        #: of sparse random extents would crawl at single-device
-        #: random-IOPS speed.
-        self.parallelism = max(1, parallelism)
         self.cycles = 0
         self._proc = None
         self._active_batch: list = []
@@ -133,8 +131,8 @@ class Rebuilder:
     # -- one reorganisation cycle ------------------------------------------
     def cycle(self):
         """Process generator: one flush pass then one fetch pass."""
-        yield from self.flush_pass(self.flush_budget)
-        yield from self.fetch_pass(self.fetch_budget)
+        yield from self.flush_pass(self.budget)
+        yield from self.fetch_pass(self.budget)
         self.cycles += 1
 
     def drain(self, max_cycles: int = 1000):
@@ -181,7 +179,7 @@ class Rebuilder:
                 break
             batch.append(extent)
             spent += extent.length
-            if len(batch) >= self.parallelism:
+            if len(batch) >= self.PARALLELISM:
                 yield from self._run_batch(self._flush_extent, batch)
                 batch = []
         if batch:
@@ -254,7 +252,7 @@ class Rebuilder:
             if done:
                 entry.c_flag = False
 
-        step = self.parallelism
+        step = self.PARALLELISM
         for i in range(0, len(pending), step):
             yield from self._run_batch(fetch_and_clear, pending[i:i + step])
 

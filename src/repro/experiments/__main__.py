@@ -23,6 +23,7 @@ from ..cliutil import (
     add_cache_args,
     add_jobs_arg,
     add_streaming_args,
+    output_path,
     store_from,
     telemetry_from,
 )
@@ -44,7 +45,7 @@ def main(argv: list[str] | None = None) -> int:
         help=f"subset of experiments; known: {', '.join(list_experiments())}",
     )
     parser.add_argument(
-        "--out", default="EXPERIMENTS.md",
+        "--out", type=output_path, default="EXPERIMENTS.md",
         help="output markdown path (default: EXPERIMENTS.md)",
     )
     parser.add_argument(

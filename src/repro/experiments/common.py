@@ -7,18 +7,8 @@ from ..units import MiB
 from ..workloads import IORWorkload
 
 
-#: When not None, force every testbed spec's ``coalesce`` to this
-#: value (drivers that pass ``coalesce=`` explicitly still win).  The
-#: legacy determinism gate uses this to replay experiment points under
-#: the pre-coalescing event schedule without threading a flag through
-#: every driver; see tests/experiments/test_legacy_uncoalesced.py.
-COALESCE_OVERRIDE: bool | None = None
-
-
 def testbed(**overrides) -> ClusterSpec:
     """The paper's testbed spec with optional overrides."""
-    if COALESCE_OVERRIDE is not None:
-        overrides.setdefault("coalesce", COALESCE_OVERRIDE)
     return ClusterSpec.paper_testbed(**overrides)
 
 

@@ -20,7 +20,7 @@ from ..devices.base import OP_READ, OP_WRITE
 from ..errors import MPIIOError
 from ..network import Fabric
 from ..obs import NULL_TRACER
-from ..pfs import DEFAULT_COALESCE, PFS, IOResult, PFSClient
+from ..pfs import PFS, IOResult, PFSClient
 from ..sim.resources import PRIORITY_NORMAL
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -95,8 +95,6 @@ class DirectIO(IOLayer):
         pfs: PFS,
         fabric: Fabric,
         num_nodes: int = 32,
-        node_prefix: str = "node",
-        coalesce: bool = DEFAULT_COALESCE,
     ):
         if num_nodes < 1:
             raise MPIIOError(f"need at least one compute node: {num_nodes}")
@@ -104,12 +102,8 @@ class DirectIO(IOLayer):
         self.pfs = pfs
         self.fabric = fabric
         self.num_nodes = num_nodes
-        #: Per-server-round sub-request coalescing for every client of
-        #: this layer (middleware clients inherit the same setting).
-        self.coalesce = coalesce
         self._clients = [
-            PFSClient(sim, pfs, fabric, f"{node_prefix}{i}", coalesce=coalesce)
-            for i in range(num_nodes)
+            PFSClient(sim, pfs, fabric, f"node{i}") for i in range(num_nodes)
         ]
         self._handles: dict[str, FileHandle] = {}
         #: Optional IOSIG tracer (set by the runner).

@@ -1,7 +1,7 @@
 """The experiment sweep on the store + work-stealing plane.
 
-The sweep unit is **one experiment config** — ``(exp_id, scale)`` plus
-the process-wide coalescing override.  Units flow through two layers:
+The sweep unit is **one experiment config** — ``(exp_id, scale)``.
+Units flow through two layers:
 
 1. the content-addressed :class:`~repro.parallel.store.ResultStore`
    (when enabled): a unit whose config digest is already cached at the
@@ -35,11 +35,9 @@ def unit_digest(exp_id: str, scale: float | None) -> str:
     Uses the *effective* scale (``None`` resolves to the experiment's
     ``default_scale``, exactly as the driver itself resolves it), so
     ``run_all(scale=None)`` and ``run_all(scale=default)`` hit the same
-    entry; includes the coalescing override because it changes every
-    simulated timing.  Unknown ids raise the same
+    entry.  Unknown ids raise the same
     :class:`~repro.errors.ExperimentError` the serial path would.
     """
-    from ..experiments import common
     from ..experiments.harness import get_experiment
     from .store import config_digest
 
@@ -49,27 +47,23 @@ def unit_digest(exp_id: str, scale: float | None) -> str:
         kind="experiment",
         exp_id=exp_id,
         scale=float(effective),
-        coalesce_override=common.COALESCE_OVERRIDE,
     )
 
 
 def run_unit(payload: tuple) -> tuple:
     """Worker: run ONE experiment config.
 
-    ``payload`` is ``(exp_id, scale, coalesce_override)``; the override
-    is re-planted worker-side so a legacy (uncoalesced) sweep stays
-    legacy across the process boundary.  Returns
+    ``payload`` is ``(exp_id, scale)``.  Returns
     ``(ExperimentResult, wall_seconds)``.
     """
     import time
 
     # A spawn worker starts from a bare interpreter: importing the
     # package registers every driver.
-    from ..experiments import common, harness  # noqa: F401
+    from ..experiments import harness
     import repro.experiments  # noqa: F401
 
-    exp_id, scale, coalesce_override = payload
-    common.COALESCE_OVERRIDE = coalesce_override
+    exp_id, scale = payload
     start = time.perf_counter()  # simlint: disable=DET001 - reporting only
     result = harness.get_experiment(exp_id).run_checked(scale)
     wall = time.perf_counter() - start  # simlint: disable=DET001 - reporting only
@@ -94,8 +88,6 @@ def run_sweep(
     runs).  ``stats`` is the queue-drain telemetry, or ``None`` when
     every unit was a cache hit (nothing drained).
     """
-    from ..experiments import common
-
     selected = sorted(set(exp_ids))
     if len(selected) != len(list(exp_ids)):
         duplicates = sorted(
@@ -123,10 +115,7 @@ def run_sweep(
 
     stats: StealStats | None = None
     if pending:
-        tasks: list[Task] = [
-            (exp_id, (exp_id, scale, common.COALESCE_OVERRIDE))
-            for exp_id in pending
-        ]
+        tasks: list[Task] = [(exp_id, (exp_id, scale)) for exp_id in pending]
         values, stats = steal_fanout(
             tasks, run_unit, jobs=jobs, progress=progress, metrics=metrics
         )

@@ -17,7 +17,7 @@ Layers:
   verify end-to-end data consistency in tests.
 """
 
-from .client import DEFAULT_COALESCE, IOResult, PFSClient
+from .client import IOResult, PFSClient
 from .filesystem import PFS, PFSFile, PFSSpec
 from .layout import (
     SubRequest,
@@ -32,7 +32,6 @@ from .server import FileServer
 __all__ = [
     "PFS",
     "FileServer",
-    "DEFAULT_COALESCE",
     "IOResult",
     "PFSClient",
     "PFSFile",

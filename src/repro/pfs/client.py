@@ -21,12 +21,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 #: Bytes of protocol header per PFS message (request/ack framing).
 HEADER_BYTES = 256
 
-#: Default for per-server-round sub-request coalescing, everywhere a
-#: layer takes a ``coalesce`` knob (PFSClient, DirectIO, ClusterSpec,
-#: the CLIs' --coalesce flag).  One named constant so the blessed
-#: default is flipped in exactly one place.
-DEFAULT_COALESCE = True
-
 
 @dataclasses.dataclass(slots=True)
 class IOResult:
@@ -61,14 +55,11 @@ class PFSClient:
     all sub-requests proceed in parallel (the source of the parallelism
     that makes DServers competitive for large requests).
 
-    ``coalesce=True`` merges each server's locally-contiguous stripe
-    fragments into one wire message per server round before the flows
-    are spawned (ROMIO-style two-phase aggregation) — same bytes and
-    device addresses, fewer messages and fewer simulated events.  It
-    is on by default (the golden determinism fixtures are blessed
-    under coalescing); ``coalesce=False`` restores the legacy
-    per-fragment timing, pinned by its own legacy fixture (see
-    docs/ARCHITECTURE.md, "Parallel execution").
+    A request that leaves some server with more than one stripe
+    fragment has each server's locally-contiguous fragments merged
+    into one wire message per server round (ROMIO-style per-server
+    coalescing): same bytes and device addresses, fewer messages and
+    fewer simulated events.
 
     The sub-requests run through :meth:`Simulator.gather`, which runs
     a lone one inline in the caller.  ``spawn_flows=True`` gives every
@@ -80,14 +71,12 @@ class PFSClient:
 
     def __init__(
         self, sim: "Simulator", pfs: PFS, fabric: Fabric, endpoint: str,
-        coalesce: bool = DEFAULT_COALESCE,
         spawn_flows: bool = False,
     ):
         self.sim = sim
         self.pfs = pfs
         self.fabric = fabric
         self.endpoint = endpoint
-        self.coalesce = coalesce
         self.spawn_flows = spawn_flows
         fabric.add_endpoint(endpoint)
         for server in pfs.servers:
@@ -96,7 +85,7 @@ class PFSClient:
         self.bytes_moved = 0
         #: Sub-requests actually put on the wire.
         self.subrequests_issued = 0
-        #: Stripe fragments absorbed by coalescing (0 when disabled).
+        #: Stripe fragments absorbed by coalescing.
         self.subrequests_coalesced = 0
         #: Optional streaming round-latency series (shared per PFS);
         #: None costs nothing.
@@ -148,7 +137,7 @@ class PFSClient:
             ctx = NULL_CONTEXT
         start = self.sim.now
         subs = split_request(offset, size, self.pfs.stripe_size, self.pfs.num_servers)
-        if self.coalesce and len(subs) > self.pfs.num_servers:
+        if len(subs) > self.pfs.num_servers:
             fragments = len(subs)
             subs = coalesce_subrequests(subs)
             self.subrequests_coalesced += fragments - len(subs)

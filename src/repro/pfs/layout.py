@@ -81,16 +81,6 @@ def split_request(
     return subs
 
 
-def coalesce_per_server(
-    subs: list[SubRequest], servers: int
-) -> list[list[SubRequest]]:
-    """Group sub-requests by server, preserving order."""
-    grouped: list[list[SubRequest]] = [[] for _ in range(servers)]
-    for sub in subs:
-        grouped[sub.server].append(sub)
-    return [g for g in grouped if g]
-
-
 def coalesce_subrequests(subs: list[SubRequest]) -> list[SubRequest]:
     """Merge each server's locally-contiguous stripe fragments.
 

@@ -26,13 +26,13 @@ def s4d_cluster():
 
 
 @pytest.fixture
-def s4d_uncoalesced_cluster():
-    """Like ``s4d_cluster`` but with legacy per-fragment timing.
+def s4d_quiet_cluster():
+    """Like ``s4d_cluster`` but no periodic rebuild cycle fires.
 
-    For tests whose scenario depends on the uncoalesced event
-    schedule (e.g. racing a write against a rebuild cycle).
+    The 60 s interval outlasts every scenario, so only an explicit
+    ``rebuilder.drain()`` moves data between the tiers.
     """
-    return build_cluster(small_spec(coalesce=False), s4d=True,
+    return build_cluster(small_spec(rebuild_interval=60.0), s4d=True,
                          cache_capacity=4 * MiB)
 
 

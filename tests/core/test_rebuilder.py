@@ -80,12 +80,9 @@ def test_redirty_during_flush_keeps_extent_dirty(s4d_cluster):
     assert rres.segments[0][2] == res.stamp
 
 
-def test_fetch_skips_already_mapped_segments(s4d_uncoalesced_cluster):
-    # Legacy (uncoalesced) timing: the scenario needs the mapping
-    # write to land before a periodic rebuild cycle fetches the
-    # second critical mark, which coalesced round timing outpaces.
-    mw = s4d_uncoalesced_cluster.middleware
-    sim = s4d_uncoalesced_cluster.sim
+def test_fetch_skips_already_mapped_segments(s4d_quiet_cluster):
+    mw = s4d_quiet_cluster.middleware
+    sim = s4d_quiet_cluster.sim
 
     def body():
         f = yield from MPIFile.open(mw, 0, "/data", 64 * MiB)
@@ -105,6 +102,11 @@ def test_fetch_skips_already_mapped_segments(s4d_uncoalesced_cluster):
     # Only the unmapped mark was fetched.
     assert mw.metrics.fetched_bytes == 16 * KiB
     assert mw.dmt.fully_mapped("/data", 2 * MiB, 16 * KiB)
+    # ...and the mapped one was never even read off the DServers: the
+    # mover's OPFS traffic is exactly the flushes plus that one fetch.
+    assert mw._mover_opfs.bytes_moved == (
+        mw.metrics.flushed_bytes + mw.metrics.fetched_bytes
+    )
 
 
 def test_fetch_does_not_evict_equal_benefit_data(tiny_cache_cluster):

@@ -5,9 +5,6 @@ engine-optimisation determinism gate compares against::
 
     PYTHONPATH=src python tests/experiments/capture_golden.py
 
-``--legacy`` captures the same points with coalescing forced *off*
-(the pre-coalescing event schedule) into the legacy fixture instead.
-
 The fixture must only ever be regenerated when an *intentional*
 behaviour change lands; performance work is required to keep these
 hashes stable (same seeds -> same bits).
@@ -17,10 +14,9 @@ from __future__ import annotations
 
 import json
 import pathlib
-import sys
 import time
 
-from repro.experiments import common, harness
+from repro.experiments import harness
 import repro.experiments  # noqa: F401  - registers all drivers
 
 #: (exp_id, scale) pairs covered by the gate.  Scales are chosen so the
@@ -35,13 +31,6 @@ GOLDEN_POINTS = [
 ]
 
 FIXTURE = pathlib.Path(__file__).parent / "golden_results.json"
-
-#: Pinned digests for the legacy (uncoalesced) event schedule, kept
-#: alive by test_legacy_uncoalesced.py after coalescing became the
-#: default.
-LEGACY_FIXTURE = (
-    pathlib.Path(__file__).parent / "golden_results_uncoalesced.json"
-)
 
 
 def capture() -> dict:
@@ -62,9 +51,5 @@ def capture() -> dict:
 
 
 if __name__ == "__main__":
-    target = FIXTURE
-    if "--legacy" in sys.argv[1:]:
-        common.COALESCE_OVERRIDE = False
-        target = LEGACY_FIXTURE
-    target.write_text(json.dumps(capture(), indent=2, sort_keys=True) + "\n")
-    print(f"wrote {target}")
+    FIXTURE.write_text(json.dumps(capture(), indent=2, sort_keys=True) + "\n")
+    print(f"wrote {FIXTURE}")

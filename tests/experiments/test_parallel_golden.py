@@ -63,8 +63,8 @@ def test_worker_crash_names_the_config():
     """A config that dies in a spawned worker surfaces a clean error
     naming the failing unit; the pool shuts down without hanging."""
     tasks = [
-        ("good", ("table3", 0.02, None)),
-        ("bad-config", ("no_such_experiment", 0.02, None)),
+        ("good", ("table3", 0.02)),
+        ("bad-config", ("no_such_experiment", 0.02)),
     ]
     with pytest.raises(WorkerCrashError) as excinfo:
         steal_fanout(tasks, run_unit, jobs=2)

@@ -5,14 +5,16 @@ Two layers of proof for ``coalesce_subrequests``:
 - a hypothesis property over the pure layout math — the coalesced plan
   covers exactly the same (server, local byte) set as the fragment
   plan, with no overlaps and strictly fewer-or-equal messages;
-- an end-to-end simulation — a write/read campaign with coalescing on
-  and off returns identical content (stamps via ``pfs.content``) and
-  identical per-server byte totals, while putting fewer transfers on
-  the network.
+- an end-to-end simulation — a write/read campaign returns the same
+  content (stamps via ``pfs.content``) and the same per-server byte
+  totals as the per-fragment reference schedule (the client with
+  ``coalesce_subrequests`` patched to the identity), while putting
+  fewer transfers on the network.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -65,7 +67,7 @@ def test_coalescing_is_idempotent(offset, size, servers):
     assert coalesce_subrequests(merged) == merged
 
 
-def build(coalesce: bool, num_servers=4, stripe=64 * KiB, seed=7):
+def build(num_servers=4, stripe=64 * KiB, seed=7):
     sim = Simulator(seed=seed)
     fabric = Fabric(sim, NetworkSpec())
     servers = [
@@ -73,13 +75,13 @@ def build(coalesce: bool, num_servers=4, stripe=64 * KiB, seed=7):
         for i in range(num_servers)
     ]
     pfs = PFS(sim, "pfs", servers, PFSSpec(stripe_size=stripe))
-    client = PFSClient(sim, pfs, fabric, "client0", coalesce=coalesce)
+    client = PFSClient(sim, pfs, fabric, "client0")
     return sim, fabric, pfs, client
 
 
-def _campaign(coalesce: bool):
+def _campaign():
     """Write then read a multi-round request pattern; return evidence."""
-    sim, fabric, pfs, client = build(coalesce)
+    sim, fabric, pfs, client = build()
     handle = pfs.create("/f", 64 * MiB)
 
     def body():
@@ -124,8 +126,11 @@ def _campaign(coalesce: bool):
 
 
 def test_end_to_end_bytes_identical_messages_fewer():
-    off = _campaign(coalesce=False)
-    on = _campaign(coalesce=True)
+    # The per-fragment reference: every stripe fragment on the wire.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("repro.pfs.client.coalesce_subrequests", lambda subs: subs)
+        off = _campaign()
+    on = _campaign()
     # Byte oracle: identical content stamps and segments either way.
     assert on["stamps"] == off["stamps"]
     assert on["reads"] == off["reads"]
@@ -142,7 +147,7 @@ def test_end_to_end_bytes_identical_messages_fewer():
 
 def test_small_requests_bypass_coalescing():
     """Requests touching each server at most once are left untouched."""
-    sim, fabric, pfs, client = build(coalesce=True)
+    sim, fabric, pfs, client = build()
     handle = pfs.create("/f", 16 * MiB)
 
     def body():

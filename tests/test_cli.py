@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import main
+from repro.errors import ConfigError, WorkloadError
 
 
 def test_calibrate_prints_parameters(capsys):
@@ -70,6 +71,40 @@ def test_trace_writes_chrome_trace(tmp_path, capsys):
     assert any(e["ph"] == "X" for e in data["traceEvents"])
     assert all(json.loads(line) for line in jsonl.read_text().splitlines())
     assert "cache" in json.loads(metrics.read_text())
+
+
+def test_trace_rejects_missing_output_dir_before_running(
+    tmp_path, monkeypatch
+):
+    """A bad output path fails at parse time (exit 2), not after the
+    whole simulation has run."""
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("simulated before checking the output path")
+
+    monkeypatch.setattr("repro.cluster.run_workload", must_not_run)
+    with pytest.raises(SystemExit) as excinfo:
+        main([
+            "trace", "--processes", "2", "--requests-per-rank", "8",
+            "--dservers", "2", "--cservers", "1", "--file-size", "4MB",
+            "--out", str(tmp_path / "missing" / "t.json"),
+        ])
+    assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--requests-per-rank", "4", "--nodes", "0"], ConfigError),
+    (["--workload", "hpio", "--requests-per-rank", "0"], WorkloadError),
+])
+def test_zero_counts_are_rejected_not_defaulted(flags, error):
+    """0 is a value, not "unset": it must fail validation rather than
+    silently run with a default node or region count."""
+    with pytest.raises(error):
+        main([
+            "compare", "--processes", "2", "--dservers", "2",
+            "--cservers", "1", "--file-size", "4MB", "--no-result-cache",
+            *flags,
+        ])
 
 
 def test_experiments_forwarding(capsys):

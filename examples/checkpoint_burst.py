@@ -13,7 +13,7 @@ Run:  python examples/checkpoint_burst.py
 """
 
 from repro.cluster import ClusterSpec, run_workload
-from repro.iosig import randomness_ratio
+from repro.iosig import randomness_ratio, trace_records
 from repro.units import MiB
 from repro.workloads import SyntheticMixWorkload
 
@@ -42,8 +42,9 @@ def main() -> None:
     # Per-rank view: which ranks' requests ended up on the CServers?
     print()
     print("rank  pattern     requests  ->CServers  stream randomness")
+    trace = trace_records(s4d)
     for rank in range(workload.processes):
-        records = s4d.tracer.for_rank(rank)
+        records = [r for r in trace if r.rank == rank]
         to_c = sum(1 for r in records if r.target == "cservers")
         pattern = "random" if workload.is_random_rank(rank) else "sequential"
         ratio = randomness_ratio(records)

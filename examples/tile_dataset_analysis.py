@@ -13,7 +13,7 @@ Run:  python examples/tile_dataset_analysis.py
 """
 
 from repro.cluster import ClusterSpec, run_workload
-from repro.iosig import detect_signature, randomness_ratio
+from repro.iosig import detect_signature, randomness_ratio, trace_records
 from repro.units import MiB
 from repro.workloads import TileIOWorkload
 
@@ -49,7 +49,7 @@ def main() -> None:
         print(f"{label:<14}{sb / MiB:>12.2f}{cb / MiB:>12.2f}"
               f"{(cb / sb - 1) * 100:>+8.1f}%")
 
-    ratio = randomness_ratio(s4d.tracer.records)
+    ratio = randomness_ratio(trace_records(s4d))
     d_pct, c_pct = s4d.metrics.request_distribution()
     print()
     print(f"stream randomness observed by the middleware: {ratio:.2f}")

@@ -17,6 +17,7 @@ import subprocess
 import sys
 
 from ..cliutil import add_jobs_arg
+from ..parallel import resolve_jobs
 from .suite import compare_to_baseline, run_suite, suite_names
 
 
@@ -32,9 +33,9 @@ def _git_rev() -> str:
         return "unknown"
 
 
-def document(results, scale: float, reference: dict | None = None) -> dict:
+def document(results, scale: float) -> dict:
     """The BENCH_<rev>.json document for a suite run."""
-    doc = {
+    return {
         "schema": 1,
         "rev": _git_rev(),
         "python": platform.python_version(),
@@ -42,25 +43,6 @@ def document(results, scale: float, reference: dict | None = None) -> dict:
         "scale": scale,
         "results": [r.as_dict() for r in results],
     }
-    if reference is not None:
-        doc["reference"] = reference
-        speedups = {}
-        ref_by_name = {r["name"]: r for r in reference.get("results", [])}
-        for r in results:
-            ref = ref_by_name.get(r.name)
-            if not ref:
-                continue
-            if r.mode == "wall":
-                if r.seconds_per_kunit > 0:
-                    speedups[r.name] = round(
-                        ref["seconds_per_kunit"] / r.seconds_per_kunit, 3
-                    )
-            elif ref["throughput"] > 0:
-                speedups[r.name] = round(
-                    r.throughput / ref["throughput"], 3
-                )
-        doc["speedup_vs_reference"] = speedups
-    return doc
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -121,8 +103,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.parallel_receipt is not None:
         from .parallel_receipt import write_receipt
 
+        # Without --jobs each receipt keeps its own default width.
         return write_receipt(
-            args.parallel_receipt, jobs=args.jobs if args.jobs > 1 else 4,
+            args.parallel_receipt,
+            jobs=4 if args.jobs == 1 else resolve_jobs(args.jobs),
             progress=lambda msg: print(msg, flush=True),
         )
 
@@ -130,7 +114,8 @@ def main(argv: list[str] | None = None) -> int:
         from .sweep_receipt import write_receipt as write_sweep
 
         return write_sweep(
-            args.sweep_receipt, jobs=args.jobs if args.jobs > 1 else 2,
+            args.sweep_receipt,
+            jobs=2 if args.jobs == 1 else resolve_jobs(args.jobs),
             progress=lambda msg: print(msg, flush=True),
         )
 

@@ -26,6 +26,18 @@ def output_path(value: str) -> str:
     return value
 
 
+def jobs_count(value: str) -> int:
+    """argparse ``type=`` for ``--jobs``: a count >= 0 (0 = all cores).
+
+    Checked at parse time, so a negative value fails before any run
+    starts, however many tasks the command would fan out.
+    """
+    jobs = int(value)
+    if jobs < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0: {jobs}")
+    return jobs
+
+
 def add_workload_args(parser: argparse.ArgumentParser) -> None:
     """The workload-shape flag block (generator, sizes, pattern)."""
     parser.add_argument("--workload", default="ior",
@@ -54,7 +66,7 @@ def add_cluster_args(parser: argparse.ArgumentParser) -> None:
 def add_jobs_arg(parser: argparse.ArgumentParser) -> None:
     """The ``--jobs`` flag: deterministic parallel fan-out width."""
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=jobs_count, default=1, metavar="N",
         help="worker processes for independent runs (0 = all cores; "
              "output is bit-identical to --jobs 1)",
     )

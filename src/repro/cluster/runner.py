@@ -17,7 +17,6 @@ import dataclasses
 import typing
 
 from ..errors import ExperimentError
-from ..iosig import Tracer
 from ..mpiio import MPIJob
 from ..mpiio.job import RankStats
 from ..units import MiB
@@ -51,7 +50,6 @@ class RunResult:
 
     cluster: Cluster
     phases: dict[str, PhaseResult]
-    tracer: Tracer
 
     @property
     def write_bandwidth(self) -> float:
@@ -120,8 +118,6 @@ def run_workload(
             spec, s4d=s4d, cache_capacity=cache_capacity, policy=policy
         )
 
-    tracer = Tracer()
-    cluster.layer.tracer = tracer
     if obs is not None:
         obs.bind(cluster)
     if telemetry is None:
@@ -156,7 +152,7 @@ def run_workload(
     finally:
         if telemetry is not None:
             telemetry.end_run()
-    return RunResult(cluster=cluster, phases=results, tracer=tracer)
+    return RunResult(cluster=cluster, phases=results)
 
 
 def _run_interleaved(

@@ -138,7 +138,6 @@ class CARLPlacementLayer(IOLayer):
             self._placement[path] = index
         self.requests_to_ssd = 0
         self.requests_to_hdd = 0
-        self.tracer = None
 
     # -- plumbing ---------------------------------------------------------
     @property
@@ -211,6 +210,8 @@ class CARLPlacementLayer(IOLayer):
             servers_touched=max((r.servers_touched for r in results),
                                 default=0),
             segments=merged, stamp=stamp,
+            cserver_bytes=sum(end - begin for begin, end, placed in segments
+                              if placed),
         )
         if op == OP_WRITE:
             d_handle.size = max(d_handle.size, offset + size)

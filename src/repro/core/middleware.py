@@ -120,8 +120,6 @@ class S4DCacheMiddleware(IOLayer):
         #: Interned per-rank lock-owner labels (avoids an f-string per
         #: request on the metadata-lock hot path).
         self._owner_names: dict[int, str] = {}
-        #: Optional IOSIG tracer (set by the runner).
-        self.tracer = None
         #: Optional streaming request-latency series; None costs nothing.
         self.stream = None
 
@@ -242,25 +240,6 @@ class S4DCacheMiddleware(IOLayer):
             plan.release()
         if self.stream is not None:
             self.stream.observe(self.sim.now - start)
-        if self.tracer is not None:
-            from ..iosig.tracer import TraceRecord
-
-            d_bytes = sum(
-                s.size for s in plan.steps if s.target != TO_CSERVERS
-            )
-            self.tracer.record(
-                TraceRecord(
-                    time=start,
-                    rank=rank,
-                    op=op,
-                    path=handle.path,
-                    offset=offset,
-                    size=size,
-                    dserver_bytes=d_bytes,
-                    cserver_bytes=size - d_bytes,
-                    elapsed=result.elapsed,
-                )
-            )
         return result
 
     def _execute(self, rank, handle, plan, offset, size, priority, start,
@@ -299,6 +278,7 @@ class S4DCacheMiddleware(IOLayer):
             end_time=self.sim.now,
             servers_touched=servers_touched,
             stamp=stamp,
+            cserver_bytes=plan.cserver_bytes,
         )
         if plan.op == OP_WRITE:
             d_handle.size = max(d_handle.size, offset + size)

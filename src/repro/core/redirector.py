@@ -67,18 +67,12 @@ class RoutePlan:
     steps: list[RouteStep]
     #: Number of DMT/CDT mutations performed (for metadata-cost charging).
     metadata_mutations: int = 0
+    #: Bytes the CServer steps move (set by route()).
+    cserver_bytes: int = 0
     #: The space manager whose victim-scan cache must learn when a
     #: pin drop makes an extent evictable again (set by route()).
     space: CacheSpace | None = None
     _released: bool = False
-
-    @property
-    def uses_cservers(self) -> bool:
-        return any(s.target == TO_CSERVERS for s in self.steps)
-
-    @property
-    def uses_dservers(self) -> bool:
-        return any(s.target == TO_DSERVERS for s in self.steps)
 
     def release(self) -> None:
         """Drop the pins taken at decision time (idempotent)."""
@@ -175,9 +169,7 @@ class Redirector:
             ctx.end(
                 span,
                 steps=len(plan.steps),
-                cserver_bytes=sum(
-                    s.size for s in plan.steps if s.target == TO_CSERVERS
-                ),
+                cserver_bytes=plan.cserver_bytes,
                 metadata_mutations=plan.metadata_mutations,
             )
         return plan
@@ -287,10 +279,10 @@ class Redirector:
     # -- accounting ----------------------------------------------------------
     def _account(self, plan: RoutePlan, size: int) -> None:
         d_bytes = sum(s.size for s in plan.steps if s.target == TO_DSERVERS)
-        c_bytes = size - d_bytes
+        c_bytes = plan.cserver_bytes = size - d_bytes
         self.metrics.bytes_to_dservers += d_bytes
         self.metrics.bytes_to_cservers += c_bytes
-        if plan.uses_cservers and plan.uses_dservers:
+        if 0 < c_bytes < size:
             self.metrics.requests_split += 1
         # Whole-request attribution (Table III counts requests): a
         # request counts where the majority of its bytes went.

@@ -14,7 +14,7 @@ paper's 50th-second snapshot) as well as over the whole phase.
 from __future__ import annotations
 
 from ..cluster import run_workload
-from ..iosig import randomness_ratio, request_distribution
+from ..iosig import randomness_ratio, request_distribution, trace_records
 from ..units import KiB
 from .common import campaign_rpr, ior_campaign, testbed
 from .harness import Experiment, ExperimentResult, Series, register
@@ -42,7 +42,7 @@ class Table3Distribution(Experiment):
                 requests_per_rank=campaign_rpr(scale),
             )
             result = run_workload(spec, instances, s4d=True, phases=("write",))
-            records = [r for r in result.tracer.records if r.op == "write"]
+            records = [r for r in trace_records(result) if r.op == "write"]
             start = min(r.time for r in records)
             end = max(r.time for r in records)
             # Early window: the paper's 50th-second snapshot was taken

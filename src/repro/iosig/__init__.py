@@ -4,8 +4,9 @@
 tracked using IOSIG, an I/O pattern analysis tool" — Table III is an
 IOSIG request-distribution report over a 5-second window.
 
-- :class:`Tracer` — records every middleware-level request with its
-  routing outcome;
+- :func:`trace_records` — a run's request trace with each request's
+  routing outcome, built on demand from the ``IOResult`` every rank
+  already keeps;
 - :mod:`repro.iosig.analysis` — windowed request distributions
   (Table III), randomness metrics and access-pattern signatures
   (sequential / strided / random detection).
@@ -22,16 +23,16 @@ from .signature import (
     analyse_trace,
     extract_rank_signature,
 )
-from .tracer import TraceRecord, Tracer
+from .tracer import TraceRecord, trace_records
 
 __all__ = [
     "RankSignature",
     "TraceRecord",
     "TraceReport",
-    "Tracer",
     "analyse_trace",
     "detect_signature",
     "extract_rank_signature",
     "randomness_ratio",
     "request_distribution",
+    "trace_records",
 ]

@@ -113,7 +113,7 @@ class TraceReport:
 
 
 def analyse_trace(records: typing.Sequence[TraceRecord]) -> TraceReport:
-    """Build the run-level report from tracer records."""
+    """Build the run-level report from trace records."""
     from .analysis import request_distribution
 
     by_rank: dict[int, list[TraceRecord]] = {}

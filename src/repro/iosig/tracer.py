@@ -1,4 +1,4 @@
-"""Request trace collection."""
+"""Request trace records, derived from the results a run keeps."""
 
 from __future__ import annotations
 
@@ -32,24 +32,32 @@ class TraceRecord:
         )
 
 
-class Tracer:
-    """Append-only request trace (attach to an I/O layer)."""
+def trace_records(run) -> list[TraceRecord]:
+    """The IOSIG trace of a :class:`~repro.cluster.RunResult`.
 
-    def __init__(self) -> None:
-        self.records: list[TraceRecord] = []
-
-    def record(self, record: TraceRecord) -> None:
-        self.records.append(record)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def window(self, start: float, end: float) -> list[TraceRecord]:
-        """Records whose start time falls in [start, end)."""
-        return [r for r in self.records if start <= r.time < end]
-
-    def for_rank(self, rank: int) -> list[TraceRecord]:
-        return [r for r in self.records if r.rank == rank]
-
-    def clear(self) -> None:
-        self.records.clear()
+    Built on demand from the ``IOResult`` every rank keeps in its
+    ``RankStats.results``: one record per MPI-IO request, jobs in the
+    order they ran, then ranks, each rank's requests in completion
+    order.
+    """
+    jobs = sorted(
+        (ranks for phase in run.phases.values()
+         for ranks in phase.per_instance),
+        key=lambda ranks: ranks[0].start_time,
+    )
+    return [
+        TraceRecord(
+            time=io.start_time,
+            rank=stats.rank,
+            op=io.op,
+            path=io.path,
+            offset=io.offset,
+            size=io.size,
+            dserver_bytes=io.size - io.cserver_bytes,
+            cserver_bytes=io.cserver_bytes,
+            elapsed=io.elapsed,
+        )
+        for ranks in jobs
+        for stats in ranks
+        for io in stats.results
+    ]

@@ -106,8 +106,6 @@ class DirectIO(IOLayer):
             PFSClient(sim, pfs, fabric, f"node{i}") for i in range(num_nodes)
         ]
         self._handles: dict[str, FileHandle] = {}
-        #: Optional IOSIG tracer (set by the runner).
-        self.tracer = None
 
     def client_for(self, rank: int) -> PFSClient:
         return self._clients[rank % self.num_nodes]
@@ -144,22 +142,6 @@ class DirectIO(IOLayer):
                                              ctx=ctx)
         else:
             raise MPIIOError(f"unknown op {op!r}")
-        if self.tracer is not None:
-            from ..iosig.tracer import TraceRecord
-
-            self.tracer.record(
-                TraceRecord(
-                    time=result.start_time,
-                    rank=rank,
-                    op=op,
-                    path=handle.path,
-                    offset=offset,
-                    size=size,
-                    dserver_bytes=size,
-                    cserver_bytes=0,
-                    elapsed=result.elapsed,
-                )
-            )
         return result
 
     def close(self, rank: int, handle: FileHandle):

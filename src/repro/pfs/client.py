@@ -40,6 +40,9 @@ class IOResult:
     )
     #: For writes: the stamp this write put on the file.
     stamp: int | None = None
+    #: Bytes the CServers moved for this request; set by the caching
+    #: layers, 0 on the stock path.
+    cserver_bytes: int = 0
 
     @property
     def elapsed(self) -> float:

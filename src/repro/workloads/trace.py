@@ -3,9 +3,10 @@
 Research I/O systems are routinely evaluated against recorded request
 traces (the paper's own IOSIG tooling produces them).  A
 :class:`TraceWorkload` replays a trace file through the simulated
-stack; together with :class:`~repro.iosig.Tracer` export this closes
-the loop: record a simulated (or synthesised) run, replay it against a
-different configuration.
+stack; together with :func:`export_trace` over
+:func:`~repro.iosig.trace_records` this closes the loop: record a
+simulated (or synthesised) run, replay it against a different
+configuration.
 
 Trace format: text, one request per line::
 
@@ -75,7 +76,11 @@ def parse_trace(
 
 
 def export_trace(records, stream: io.TextIOBase) -> int:
-    """Write IOSIG tracer records in the replayable format."""
+    """Write IOSIG trace records in the replayable format.
+
+    ``records`` is typically :func:`repro.iosig.trace_records` of a
+    run; returns the number of records written.
+    """
     count = 0
     stream.write("# rank op offset size\n")
     for record in records:

@@ -10,6 +10,7 @@ from repro.cluster import (
 )
 from repro.core import CostModel
 from repro.errors import ConfigError, ExperimentError
+from repro.iosig import trace_records
 from repro.units import GiB, KiB, MiB
 from repro.workloads import IORWorkload
 
@@ -157,9 +158,9 @@ def test_second_read_run_faster_with_cache(ior_results):
 
 def test_runner_traces_requests(ior_results):
     stock, s4d = ior_results
-    assert len(stock.tracer) > 0
-    assert all(r.cserver_bytes == 0 for r in stock.tracer.records)
-    assert any(r.cserver_bytes > 0 for r in s4d.tracer.records)
+    assert len(trace_records(stock)) > 0
+    assert all(r.cserver_bytes == 0 for r in trace_records(stock))
+    assert any(r.cserver_bytes > 0 for r in trace_records(s4d))
 
 
 def test_runner_rejects_empty_and_bad_phase():

@@ -2,7 +2,6 @@
 
 from repro.iosig import (
     TraceRecord,
-    Tracer,
     detect_signature,
     randomness_ratio,
     request_distribution,
@@ -16,23 +15,6 @@ def rec(time, offset, size=100, rank=0, d=None, c=0, op="read"):
         time=time, rank=rank, op=op, path="/f", offset=offset,
         size=size, dserver_bytes=d, cserver_bytes=c,
     )
-
-
-def test_tracer_records_and_windows():
-    tracer = Tracer()
-    for t in (0.5, 1.5, 2.5, 3.5):
-        tracer.record(rec(t, int(t * 1000)))
-    assert len(tracer) == 4
-    assert [r.time for r in tracer.window(1.0, 3.0)] == [1.5, 2.5]
-    tracer.clear()
-    assert len(tracer) == 0
-
-
-def test_tracer_for_rank():
-    tracer = Tracer()
-    tracer.record(rec(0, 0, rank=0))
-    tracer.record(rec(1, 0, rank=1))
-    assert len(tracer.for_rank(1)) == 1
 
 
 def test_target_majority():

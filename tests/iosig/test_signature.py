@@ -6,6 +6,7 @@ from repro.iosig import (
     TraceRecord,
     analyse_trace,
     extract_rank_signature,
+    trace_records,
 )
 from repro.units import KiB
 
@@ -78,7 +79,7 @@ def test_report_from_real_run():
         sequential_request="512KB", random_request="16KB", seed=2,
     )
     result = run_workload(spec, workload, s4d=True, phases=("write",))
-    report = analyse_trace(result.tracer.records)
+    report = analyse_trace(trace_records(result))
     mix = report.spatial_mix()
     assert mix.get("random", 0) == 2
     assert mix.get("sequential", 0) == 2

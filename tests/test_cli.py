@@ -107,6 +107,51 @@ def test_zero_counts_are_rejected_not_defaulted(flags, error):
         ])
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("ran before checking --jobs")
+
+
+@pytest.mark.parametrize("argv, runner", [
+    (["experiments", "--only", "table3", "--scale", "0.02"],
+     "repro.experiments.__main__.run_all"),
+    (["compare", "--processes", "2", "--dservers", "2", "--cservers", "1",
+      "--file-size", "4MB", "--no-result-cache"],
+     "repro.parallel.steal_fanout"),
+    (["bench", "--only", "event_loop"], "repro.bench.cli.run_suite"),
+], ids=["experiments", "compare", "bench"])
+def test_negative_jobs_rejected_at_parse_time(argv, runner, monkeypatch):
+    """A negative --jobs fails in argparse (exit 2) even when the
+    command has a single task and would never start a fan-out."""
+    monkeypatch.setattr(runner, _must_not_run)
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--jobs", "-1"])
+    assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("jobs_flags, expected", [
+    ([], {"parallel": 4, "sweep": 2}),
+    (["--jobs", "0"], {"parallel": 3, "sweep": 3}),
+    (["--jobs", "2"], {"parallel": 2, "sweep": 2}),
+], ids=["default", "all-cores", "explicit"])
+def test_bench_receipts_resolve_jobs(jobs_flags, expected, tmp_path,
+                                     monkeypatch):
+    """--jobs 0 means all cores for the receipts too; without --jobs
+    each receipt keeps its own default width."""
+    monkeypatch.setattr("repro.parallel.stealing.os_cpu_count", lambda: 3)
+    seen = {}
+    for name in expected:
+        def capture(path, jobs, progress=None, name=name):
+            seen[name] = jobs
+            return 0
+
+        monkeypatch.setattr(f"repro.bench.{name}_receipt.write_receipt",
+                            capture)
+    for name in expected:
+        out = str(tmp_path / f"{name}.json")
+        assert main(["bench", f"--{name}-receipt", out, *jobs_flags]) == 0
+    assert seen == expected
+
+
 def test_experiments_forwarding(capsys):
     assert main(["experiments", "--list"]) == 0
     out = capsys.readouterr().out

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster import ClusterSpec, run_workload
 from repro.errors import WorkloadError
+from repro.iosig import trace_records
 from repro.units import KiB
 from repro.workloads import TraceWorkload, export_trace, parse_trace
 
@@ -84,8 +85,9 @@ def test_record_then_replay_round_trip():
     result = run_workload(spec, original, s4d=False, phases=("write",))
 
     buffer = io.StringIO()
-    count = export_trace(result.tracer.records, buffer)
-    assert count == len(result.tracer.records)
+    records = trace_records(result)
+    count = export_trace(records, buffer)
+    assert count == len(records)
 
     replayed = TraceWorkload(buffer.getvalue().splitlines())
     assert replayed.processes == 2

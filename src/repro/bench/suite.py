@@ -384,7 +384,6 @@ def _fig6_e2e(scale: float):
 
     def build():
         def run():
-            fig6._MEASUREMENTS.clear()
             fig6.measure_point(8, 16 * KiB, exp_scale)
 
         return run

@@ -41,7 +41,8 @@ def main(argv: list[str] | None = None) -> int:
         help="problem-size multiplier (default: per-experiment)",
     )
     parser.add_argument(
-        "--only", nargs="*", default=None, metavar="EXP",
+        "--only", nargs="+", default=None, metavar="EXP",
+        choices=list_experiments(),
         help=f"subset of experiments; known: {', '.join(list_experiments())}",
     )
     parser.add_argument(

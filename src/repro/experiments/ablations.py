@@ -34,8 +34,7 @@ class AblationPolicy(Experiment):
     PROCESSES = 8
     default_scale = 0.5
 
-    def run(self, scale: float | None = None) -> ExperimentResult:
-        scale = self.default_scale if scale is None else scale
+    def measure(self, scale: float) -> ExperimentResult:
         spec = testbed(num_nodes=self.PROCESSES)
         instances = ior_campaign(
             self.PROCESSES, 16 * KiB, instances=10, sequential=6,
@@ -89,8 +88,7 @@ class AblationRebuilder(Experiment):
     PROCESSES = 8
     default_scale = 0.5
 
-    def run(self, scale: float | None = None) -> ExperimentResult:
-        scale = self.default_scale if scale is None else scale
+    def measure(self, scale: float) -> ExperimentResult:
         spec = testbed(num_nodes=self.PROCESSES)
         instances = ior_campaign(
             self.PROCESSES, 16 * KiB, instances=10, sequential=6,
@@ -141,8 +139,7 @@ class AblationCostModel(Experiment):
     PROCESSES = 8
     default_scale = 0.5
 
-    def run(self, scale: float | None = None) -> ExperimentResult:
-        scale = self.default_scale if scale is None else scale
+    def measure(self, scale: float) -> ExperimentResult:
         spec = testbed(num_nodes=self.PROCESSES)
         instances = ior_campaign(
             self.PROCESSES, 16 * KiB, instances=10, sequential=6,

@@ -30,8 +30,7 @@ class CarlComparison(Experiment):
     PROCESSES = 8
     default_scale = 0.5
 
-    def run(self, scale: float | None = None) -> ExperimentResult:
-        scale = self.default_scale if scale is None else scale
+    def measure(self, scale: float) -> ExperimentResult:
         rpr = campaign_rpr(scale, base=128)
         profiled = IORWorkload(
             self.PROCESSES, 16 * KiB, 2 * 1024 * MiB,

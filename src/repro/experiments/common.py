@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from ..cluster import ClusterSpec
+from ..cluster import ClusterSpec, run_workload
 from ..units import MiB
 from ..workloads import IORWorkload
+from .harness import Experiment, ExperimentResult, Series, mb
 
 
 def testbed(**overrides) -> ClusterSpec:
@@ -78,3 +79,45 @@ def ior_campaign(
 def campaign_rpr(scale: float, base: int = 256, minimum: int = 8) -> int:
     """Requests per rank for a scaled campaign instance."""
     return scale_int(base, scale, minimum=minimum)
+
+
+def stock_and_s4d(spec: ClusterSpec, workload, **options) -> dict:
+    """Run ``workload`` on the stock system, then with S4D-Cache.
+
+    Returns one point of a paired figure: ``{"write": (stock, s4d),
+    "read": (stock, s4d)}`` in MB/s.
+    """
+    stock = run_workload(spec, workload, s4d=False, **options)
+    s4d = run_workload(spec, workload, s4d=True, **options)
+    return {
+        "write": (mb(stock.write_bandwidth), mb(s4d.write_bandwidth)),
+        "read": (mb(stock.read_bandwidth), mb(s4d.read_bandwidth)),
+    }
+
+
+class StockVsS4D(Experiment):
+    """One view of a stock-vs-S4D campaign (Figs. 6, 7, 9 and 10).
+
+    ``measure`` returns ``{x: point}`` with one :func:`stock_and_s4d`
+    point per x value; the write view (a) and the read view (b) plot
+    the ``op`` side of every point as a ``stock`` and an ``s4d`` series.
+    """
+
+    #: "write" or "read" (read == second run, per §V.A).
+    op: str = ""
+    x_label: str = ""
+    PAPER_CLAIMS: list[str] = []
+
+    def view(self, data: dict, scale: float) -> ExperimentResult:
+        xs = list(data)
+        return ExperimentResult(
+            exp_id=self.exp_id,
+            title=self.title,
+            x_label=self.x_label,
+            y_label=f"{self.op} MB/s",
+            series=[
+                Series("stock", xs, [data[x][self.op][0] for x in xs]),
+                Series("s4d", xs, [data[x][self.op][1] for x in xs]),
+            ],
+            paper_claims=self.PAPER_CLAIMS,
+        )

@@ -8,68 +8,34 @@ better data locality than that of the IOR test".
 
 from __future__ import annotations
 
-from ..cluster import run_workload
 from ..units import KiB
-from .common import scale_int, testbed
-from .harness import Experiment, ExperimentResult, Series, mb, register
+from .common import StockVsS4D, scale_int, stock_and_s4d, testbed
+from .harness import ExperimentResult, register
 from ..workloads import TileIOWorkload
 
 
-#: shared measurement cache across fig10a/fig10b.
-_MEASUREMENTS: dict = {}
-
-
-class _Fig10Base(Experiment):
+class _Fig10Base(StockVsS4D):
     #: Paper sweeps 100-400 ranks; scaled to stay tractable.
     PROCESS_COUNTS = [16, 36, 64, 100]
     ELEMENTS = 10
     ELEMENT_SIZE = 32 * KiB
     default_scale = 0.5
+    x_label = "processes"
 
-    op: str = ""
-    PAPER_CLAIMS: list[str] = []
-
-    def _measure(self, processes: int, scale: float) -> dict:
-        """One process-count point, memoised across fig10a/fig10b."""
-        key = (processes, scale)
-        if key in _MEASUREMENTS:
-            return _MEASUREMENTS[key]
+    def measure(self, scale: float) -> dict:
         elements = scale_int(self.ELEMENTS, scale, minimum=4)
         spec = testbed(num_nodes=32)
-        workload = TileIOWorkload(
-            processes,
-            elements_x=elements,
-            elements_y=elements,
-            element_size=self.ELEMENT_SIZE,
-            seed=29,
-        )
-        stock = run_workload(spec, workload, s4d=False)
-        s4d = run_workload(spec, workload, s4d=True)
-        point = {
-            "write": (mb(stock.write_bandwidth), mb(s4d.write_bandwidth)),
-            "read": (mb(stock.read_bandwidth), mb(s4d.read_bandwidth)),
-        }
-        _MEASUREMENTS[key] = point
-        return point
-
-    def run(self, scale: float | None = None) -> ExperimentResult:
-        scale = self.default_scale if scale is None else scale
-        stock_y, s4d_y = [], []
+        points = {}
         for processes in self.PROCESS_COUNTS:
-            stock, s4d = self._measure(processes, scale)[self.op]
-            stock_y.append(stock)
-            s4d_y.append(s4d)
-        return ExperimentResult(
-            exp_id=self.exp_id,
-            title=self.title,
-            x_label="processes",
-            y_label=f"{self.op} MB/s",
-            series=[
-                Series("stock", self.PROCESS_COUNTS, stock_y),
-                Series("s4d", self.PROCESS_COUNTS, s4d_y),
-            ],
-            paper_claims=self.PAPER_CLAIMS,
-        )
+            workload = TileIOWorkload(
+                processes,
+                elements_x=elements,
+                elements_y=elements,
+                element_size=self.ELEMENT_SIZE,
+                seed=29,
+            )
+            points[processes] = stock_and_s4d(spec, workload)
+        return points
 
     def check_shape(self, result: ExperimentResult) -> list[str]:
         failures = []

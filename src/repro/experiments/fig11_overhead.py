@@ -28,8 +28,7 @@ class Fig11Overhead(Experiment):
     PROCESSES = 8
     default_scale = 0.5
 
-    def run(self, scale: float | None = None) -> ExperimentResult:
-        scale = self.default_scale if scale is None else scale
+    def measure(self, scale: float) -> ExperimentResult:
         spec = testbed(num_nodes=self.PROCESSES)
         stock_y, s4d_y = [], []
         for request in self.SIZES:

@@ -40,8 +40,7 @@ class Fig1Motivation(Experiment):
     #: The paper's 16 GB shared file: the random pattern's seek span.
     FILE_SIZE = 16 << 30
 
-    def run(self, scale: float | None = None) -> ExperimentResult:
-        scale = self.default_scale if scale is None else scale
+    def measure(self, scale: float) -> ExperimentResult:
         sizes = []
         bandwidth = {"sequential": [], "random": []}
         spec = testbed(num_nodes=16)

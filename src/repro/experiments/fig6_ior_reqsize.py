@@ -9,26 +9,25 @@ cache capacity 20 % of the application's data.  Claims:
 - read improvement up to 184.1 % at 8 KB (second run), larger than
   the write improvement because SSD reads beat SSD writes.
 
-Fig. 6a (writes) and Fig. 6b (reads) come from the same campaign, so
-the measurement pass is shared (memoised) between the two drivers.
+Fig. 6a (writes) and Fig. 6b (reads) are two views of one campaign:
+both inherit ``_Fig6Base.measure``, which the sweep runs once per pair.
 """
 
 from __future__ import annotations
 
-from ..cluster import run_workload
 from ..units import KiB
-from .common import campaign_rpr, ior_campaign, testbed
-from .harness import Experiment, ExperimentResult, Series, mb, register
-
-#: (processes, request, scale, ...) -> {"write": (stock, s4d), "read": ...}.
-_MEASUREMENTS: dict = {}
+from .common import (
+    StockVsS4D,
+    campaign_rpr,
+    ior_campaign,
+    stock_and_s4d,
+    testbed,
+)
+from .harness import ExperimentResult, register
 
 
 def measure_point(processes, request, scale, instances=10, sequential=6):
-    """One campaign point, memoised (fig6a/fig6b share it)."""
-    key = (processes, request, scale, instances, sequential)
-    if key in _MEASUREMENTS:
-        return _MEASUREMENTS[key]
+    """One campaign point: ``{op: (stock, s4d)}`` in MB/s."""
     spec = testbed(num_nodes=processes)
     campaign = ior_campaign(
         processes, request,
@@ -37,50 +36,25 @@ def measure_point(processes, request, scale, instances=10, sequential=6):
     )
     # IOR's real structure: each instance writes then reads; reads are
     # measured on the second pass (§V.A).
-    stock = run_workload(spec, campaign, s4d=False, phases=("interleaved",))
-    s4d = run_workload(spec, campaign, s4d=True, phases=("interleaved",))
-    point = {
-        "write": (mb(stock.write_bandwidth), mb(s4d.write_bandwidth)),
-        "read": (mb(stock.read_bandwidth), mb(s4d.read_bandwidth)),
-    }
-    _MEASUREMENTS[key] = point
-    return point
+    return stock_and_s4d(spec, campaign, phases=("interleaved",))
 
 
-class _Fig6Base(Experiment):
+class _Fig6Base(StockVsS4D):
     SIZES = [8 * KiB, 16 * KiB, 32 * KiB, 64 * KiB, 4096 * KiB]
     PROCESSES = 8
     INSTANCES = 10
     SEQUENTIAL = 6
     default_scale = 0.5
+    x_label = "request (KB)"
 
-    #: "write" or "read" (read == second run, per §V.A).
-    op: str = ""
-    PAPER_CLAIMS: list[str] = []
-
-    def run(self, scale: float | None = None) -> ExperimentResult:
-        scale = self.default_scale if scale is None else scale
-        sizes, stock_y, s4d_y = [], [], []
-        for request in self.SIZES:
-            point = measure_point(
+    def measure(self, scale: float) -> dict:
+        return {
+            request // KiB: measure_point(
                 self.PROCESSES, request, scale,
                 self.INSTANCES, self.SEQUENTIAL,
             )
-            stock, s4d = point[self.op]
-            sizes.append(request // KiB)
-            stock_y.append(stock)
-            s4d_y.append(s4d)
-        return ExperimentResult(
-            exp_id=self.exp_id,
-            title=self.title,
-            x_label="request (KB)",
-            y_label=f"{self.op} MB/s",
-            series=[
-                Series("stock", sizes, stock_y),
-                Series("s4d", sizes, s4d_y),
-            ],
-            paper_claims=self.PAPER_CLAIMS,
-        )
+            for request in self.SIZES
+        }
 
     def check_shape(self, result: ExperimentResult) -> list[str]:
         failures = []

@@ -8,17 +8,18 @@ competition per file server); read behaves similarly.
 
 from __future__ import annotations
 
-from ..cluster import run_workload
 from ..units import KiB
-from .common import campaign_rpr, ior_campaign, testbed
-from .harness import Experiment, ExperimentResult, Series, mb, register
+from .common import (
+    StockVsS4D,
+    campaign_rpr,
+    ior_campaign,
+    stock_and_s4d,
+    testbed,
+)
+from .harness import ExperimentResult, register
 
 
-#: shared measurement cache across fig7a/fig7b.
-_MEASUREMENTS: dict = {}
-
-
-class _Fig7Base(Experiment):
+class _Fig7Base(StockVsS4D):
     #: Paper sweeps 16..128; scaled to stay tractable in pure Python.
     #: Starting at the server count keeps every point in the paper's
     #: "competition" regime (processes >= file servers).
@@ -27,50 +28,21 @@ class _Fig7Base(Experiment):
     INSTANCES = 5
     SEQUENTIAL = 3
     default_scale = 0.5
+    x_label = "processes"
 
-    op: str = ""
-    PAPER_CLAIMS: list[str] = []
-
-    def _measure(self, processes: int, scale: float) -> dict:
-        """One process-count point, memoised across fig7a/fig7b."""
-        key = (processes, scale, self.INSTANCES, self.SEQUENTIAL)
-        if key in _MEASUREMENTS:
-            return _MEASUREMENTS[key]
-        spec = testbed(num_nodes=min(processes, 32))
-        instances = ior_campaign(
-            processes, self.REQUEST,
-            instances=self.INSTANCES, sequential=self.SEQUENTIAL,
-            requests_per_rank=campaign_rpr(scale),
-        )
-        stock = run_workload(spec, instances, s4d=False,
-                             phases=("interleaved",))
-        s4d = run_workload(spec, instances, s4d=True,
-                           phases=("interleaved",))
-        point = {
-            "write": (mb(stock.write_bandwidth), mb(s4d.write_bandwidth)),
-            "read": (mb(stock.read_bandwidth), mb(s4d.read_bandwidth)),
-        }
-        _MEASUREMENTS[key] = point
-        return point
-
-    def run(self, scale: float | None = None) -> ExperimentResult:
-        scale = self.default_scale if scale is None else scale
-        stock_y, s4d_y = [], []
+    def measure(self, scale: float) -> dict:
+        points = {}
         for processes in self.PROCESS_COUNTS:
-            stock, s4d = self._measure(processes, scale)[self.op]
-            stock_y.append(stock)
-            s4d_y.append(s4d)
-        return ExperimentResult(
-            exp_id=self.exp_id,
-            title=self.title,
-            x_label="processes",
-            y_label=f"{self.op} MB/s",
-            series=[
-                Series("stock", self.PROCESS_COUNTS, stock_y),
-                Series("s4d", self.PROCESS_COUNTS, s4d_y),
-            ],
-            paper_claims=self.PAPER_CLAIMS,
-        )
+            spec = testbed(num_nodes=min(processes, 32))
+            instances = ior_campaign(
+                processes, self.REQUEST,
+                instances=self.INSTANCES, sequential=self.SEQUENTIAL,
+                requests_per_rank=campaign_rpr(scale),
+            )
+            points[processes] = stock_and_s4d(
+                spec, instances, phases=("interleaved",)
+            )
+        return points
 
     def check_shape(self, result: ExperimentResult) -> list[str]:
         failures = []

@@ -15,10 +15,6 @@ from .common import campaign_rpr, ior_campaign, testbed
 from .harness import Experiment, ExperimentResult, Series, mb, register
 
 
-#: shared measurement cache across fig8a/fig8b.
-_MEASUREMENTS: dict = {}
-
-
 class _Fig8Base(Experiment):
     CSERVER_COUNTS = [0, 1, 2, 4, 6]
     REQUEST = 16 * KiB
@@ -28,11 +24,8 @@ class _Fig8Base(Experiment):
     op: str = ""
     PAPER_CLAIMS: list[str] = []
 
-    def _measure(self, count: int, scale: float) -> dict:
-        """One CServer-count point, memoised across fig8a/fig8b."""
-        key = (count, scale)
-        if key in _MEASUREMENTS:
-            return _MEASUREMENTS[key]
+    def measure(self, scale: float) -> dict:
+        """``{count: {op: MB/s}}``; 0 CServers is the stock system."""
         instances = ior_campaign(
             self.PROCESSES, self.REQUEST,
             instances=10, sequential=6,
@@ -40,34 +33,33 @@ class _Fig8Base(Experiment):
         )
         total = sum(w.data_bytes() for w in instances)
         capacity = int(total * 0.20)  # same cache space for every count
-        if count == 0:
-            spec = testbed(num_nodes=self.PROCESSES)
-            result = run_workload(spec, instances, s4d=False,
-                                  phases=("interleaved",))
-        else:
-            spec = testbed(num_nodes=self.PROCESSES, num_cservers=count)
-            result = run_workload(
-                spec, instances, s4d=True,
-                cache_capacity=capacity, phases=("interleaved",),
-            )
-        point = {
-            "write": mb(result.write_bandwidth),
-            "read": mb(result.read_bandwidth),
-        }
-        _MEASUREMENTS[key] = point
-        return point
-
-    def run(self, scale: float | None = None) -> ExperimentResult:
-        scale = self.default_scale if scale is None else scale
-        bandwidths = []
+        points = {}
         for count in self.CSERVER_COUNTS:
-            bandwidths.append(self._measure(count, scale)[self.op])
+            if count == 0:
+                spec = testbed(num_nodes=self.PROCESSES)
+                result = run_workload(spec, instances, s4d=False,
+                                      phases=("interleaved",))
+            else:
+                spec = testbed(num_nodes=self.PROCESSES, num_cservers=count)
+                result = run_workload(
+                    spec, instances, s4d=True,
+                    cache_capacity=capacity, phases=("interleaved",),
+                )
+            points[count] = {
+                "write": mb(result.write_bandwidth),
+                "read": mb(result.read_bandwidth),
+            }
+        return points
+
+    def view(self, data: dict, scale: float) -> ExperimentResult:
+        counts = list(data)
         return ExperimentResult(
             exp_id=self.exp_id,
             title=self.title,
             x_label="CServers",
             y_label=f"{self.op} MB/s",
-            series=[Series("throughput", self.CSERVER_COUNTS, bandwidths)],
+            series=[Series("throughput", counts,
+                           [data[c][self.op] for c in counts])],
             paper_claims=self.PAPER_CLAIMS,
         )
 

@@ -8,69 +8,34 @@ noncontiguous but "not as random as the IOR benchmark".
 
 from __future__ import annotations
 
-from ..cluster import run_workload
 from ..units import KiB
-from .common import scale_int, testbed
-from .harness import Experiment, ExperimentResult, Series, mb, register
+from .common import StockVsS4D, scale_int, stock_and_s4d, testbed
+from .harness import ExperimentResult, register
 from ..workloads import HPIOWorkload
 
 
-#: shared measurement cache across fig9a/fig9b.
-_MEASUREMENTS: dict = {}
-
-
-class _Fig9Base(Experiment):
+class _Fig9Base(StockVsS4D):
     SPACINGS = [0, 1 * KiB, 2 * KiB, 4 * KiB]
     PROCESSES = 8
     REGION_SIZE = 8 * KiB
     REGION_COUNT = 1024  # paper: 4096; scaled via `scale`
     default_scale = 0.5
+    x_label = "region spacing (KB)"
 
-    op: str = ""
-    PAPER_CLAIMS: list[str] = []
-
-    def _measure(self, spacing: int, scale: float) -> dict:
-        """One spacing point, memoised across fig9a/fig9b."""
-        key = (spacing, scale)
-        if key in _MEASUREMENTS:
-            return _MEASUREMENTS[key]
+    def measure(self, scale: float) -> dict:
         region_count = scale_int(self.REGION_COUNT, scale, minimum=64)
         spec = testbed(num_nodes=self.PROCESSES)
-        workload = HPIOWorkload(
-            self.PROCESSES,
-            region_count=region_count,
-            region_size=self.REGION_SIZE,
-            region_spacing=spacing,
-            seed=23,
-        )
-        stock = run_workload(spec, workload, s4d=False)
-        s4d = run_workload(spec, workload, s4d=True)
-        point = {
-            "write": (mb(stock.write_bandwidth), mb(s4d.write_bandwidth)),
-            "read": (mb(stock.read_bandwidth), mb(s4d.read_bandwidth)),
-        }
-        _MEASUREMENTS[key] = point
-        return point
-
-    def run(self, scale: float | None = None) -> ExperimentResult:
-        scale = self.default_scale if scale is None else scale
-        stock_y, s4d_y = [], []
+        points = {}
         for spacing in self.SPACINGS:
-            stock, s4d = self._measure(spacing, scale)[self.op]
-            stock_y.append(stock)
-            s4d_y.append(s4d)
-        spacings_kb = [s // KiB for s in self.SPACINGS]
-        return ExperimentResult(
-            exp_id=self.exp_id,
-            title=self.title,
-            x_label="region spacing (KB)",
-            y_label=f"{self.op} MB/s",
-            series=[
-                Series("stock", spacings_kb, stock_y),
-                Series("s4d", spacings_kb, s4d_y),
-            ],
-            paper_claims=self.PAPER_CLAIMS,
-        )
+            workload = HPIOWorkload(
+                self.PROCESSES,
+                region_count=region_count,
+                region_size=self.REGION_SIZE,
+                region_spacing=spacing,
+                seed=23,
+            )
+            points[spacing // KiB] = stock_and_s4d(spec, workload)
+        return points
 
     def check_shape(self, result: ExperimentResult) -> list[str]:
         failures = []

@@ -95,8 +95,30 @@ class Experiment(abc.ABC):
     default_scale: float = 1.0
 
     @abc.abstractmethod
+    def measure(self, scale: float):
+        """Run the simulations at ``scale``; return what :meth:`view` renders.
+
+        Experiments whose classes inherit one ``measure`` are views of
+        one campaign (Fig. 6a/6b are the write and read side of the
+        same runs): the sweep calls it once and renders every view from
+        the returned data.  Such views may differ only in presentation
+        attributes (``exp_id``, ``title``, ``op``, ``PAPER_CLAIMS``),
+        and ``measure`` must not read those.  An experiment with a
+        ``measure`` of its own may return the finished artefact.
+        """
+
+    def view(self, data, scale: float) -> ExperimentResult:
+        """Render the artefact from :meth:`measure`'s ``data``.
+
+        Default: ``data`` already is the artefact.  A view must not
+        mutate ``data``: the other views of its campaign read it too.
+        """
+        return data
+
     def run(self, scale: float | None = None) -> ExperimentResult:
-        """Execute the experiment and return the reproduced artefact."""
+        """Measure and render this one view (``None``: default scale)."""
+        scale = self.default_scale if scale is None else scale
+        return self.view(self.measure(scale), scale)
 
     def check_shape(self, result: ExperimentResult) -> list[str]:
         """Return shape-mismatch descriptions (empty == reproduced).
@@ -105,10 +127,16 @@ class Experiment(abc.ABC):
         """
         return []
 
+    def checked(self, result: ExperimentResult) -> ExperimentResult:
+        """A copy of ``result`` with its shape-check failures filled in.
+
+        A copy, not an update: a single experiment's view *is* its
+        measured data, which the caller may still hold.
+        """
+        return dataclasses.replace(result, failures=self.check_shape(result))
+
     def run_checked(self, scale: float | None = None) -> ExperimentResult:
-        result = self.run(scale)
-        result.failures = self.check_shape(result)
-        return result
+        return self.checked(self.run(scale))
 
 
 def fingerprint(result: ExperimentResult) -> dict:

@@ -26,8 +26,7 @@ class MetadataOverhead(Experiment):
     PROCESSES = 4
     default_scale = 1.0
 
-    def run(self, scale: float | None = None) -> ExperimentResult:
-        scale = self.default_scale if scale is None else scale
+    def measure(self, scale: float) -> ExperimentResult:
         request = 4 * KiB
         file_size = max(int(8 * MiB * scale), self.PROCESSES * request * 4)
         capacity = file_size  # everything cacheable: worst case

@@ -28,8 +28,7 @@ class Table3Distribution(Experiment):
     PROCESSES = 8
     default_scale = 0.5
 
-    def run(self, scale: float | None = None) -> ExperimentResult:
-        scale = self.default_scale if scale is None else scale
+    def measure(self, scale: float) -> ExperimentResult:
         spec = testbed(num_nodes=self.PROCESSES)
         window_rows = {}
         whole_rows = {}

@@ -27,8 +27,7 @@ class Table4Capacity(Experiment):
     PROCESSES = 8
     default_scale = 0.5
 
-    def run(self, scale: float | None = None) -> ExperimentResult:
-        scale = self.default_scale if scale is None else scale
+    def measure(self, scale: float) -> ExperimentResult:
         spec = testbed(num_nodes=self.PROCESSES)
         instances = ior_campaign(
             self.PROCESSES, self.REQUEST,

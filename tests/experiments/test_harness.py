@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ExperimentError
 from repro.experiments import (
     REGISTRY,
+    Experiment,
     ExperimentResult,
     Series,
     get_experiment,
@@ -79,6 +80,25 @@ def test_ok_tracks_failures():
     result.failures.append("boom")
     assert not result.ok
     assert "SHAPE MISMATCH: boom" in result.to_text()
+
+
+def test_checked_leaves_the_viewed_result_alone():
+    """A single experiment's view is its measured data: checking it
+    must not write shape failures into what the caller still holds."""
+
+    class Failing(Experiment):
+        def measure(self, scale):
+            return make_result()
+
+        def check_shape(self, result):
+            return ["shape off"]
+
+    experiment = Failing()
+    viewed = experiment.view(experiment.measure(1.0), 1.0)
+    checked = experiment.checked(viewed)
+    assert checked.failures == ["shape off"]
+    assert viewed.failures == []
+    assert experiment.run_checked().failures == ["shape off"]
 
 
 def test_render_markdown_summarises():

@@ -16,7 +16,7 @@ def stub_experiment():
         default_scale = 1.0
         ran_with = None
 
-        def run(self, scale=None):
+        def measure(self, scale):
             type(self).ran_with = scale
             return ExperimentResult(
                 exp_id=self.exp_id, title=self.title,
@@ -48,7 +48,19 @@ def test_run_all_passes_scale(stub_experiment):
 def test_run_all_progress_callback(stub_experiment):
     seen = []
     run_all(only=["stub_exp"], progress=seen.append)
-    assert seen == ["running stub_exp ..."]
+    assert seen == ["[1/1] stub_exp done"]
+
+
+def test_run_all_rejects_unknown_ids(stub_experiment):
+    """An unknown id fails the whole sweep before anything runs."""
+    with pytest.raises(ExperimentError, match="fig6c"):
+        run_all(only=["stub_exp", "fig6c"])
+    assert stub_experiment.ran_with is None
+
+
+def test_run_all_drops_duplicate_ids(stub_experiment):
+    results = run_all(only=["stub_exp", "stub_exp"])
+    assert list(results) == ["stub_exp"]
 
 
 def test_duplicate_registration_rejected(stub_experiment):
@@ -61,7 +73,7 @@ def test_register_requires_exp_id():
         exp_id = ""
         title = "nameless"
 
-        def run(self, scale=None):  # pragma: no cover
+        def measure(self, scale):  # pragma: no cover
             raise NotImplementedError
 
     with pytest.raises(ExperimentError):

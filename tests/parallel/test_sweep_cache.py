@@ -80,16 +80,6 @@ def test_run_all_routes_store_through_sweep(store):
                 == harness.fingerprint_digest(cold[exp_id]))
 
 
-def test_serial_no_store_path_unchanged():
-    """Without a store and at jobs=1 the legacy clock-injected serial
-    loop still runs (stable output for the golden fixtures)."""
-    ticks = iter(range(100))
-    results = report.run_all(
-        scale=SCALE, only=["table3"], clock=lambda: float(next(ticks))
-    )
-    assert results["table3"].notes[-1] == "wall time 1.0s"
-
-
 # -- the maintenance CLI ---------------------------------------------------
 
 def _seed_cache(tmp_path) -> str:

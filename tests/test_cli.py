@@ -159,6 +159,22 @@ def test_experiments_forwarding(capsys):
     assert "table4" in out
 
 
+@pytest.mark.parametrize("only", [["fig6c"], ["table3", "fig6c"], []],
+                         ids=["alone", "beside-a-known-id", "none"])
+def test_experiments_rejects_unknown_only_ids(only, tmp_path, monkeypatch):
+    """An unknown --only id, or none, exits 2 before anything runs or
+    is written (it used to leave a "0/0 experiments" document)."""
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran with an unknown --only id")
+
+    monkeypatch.setattr("repro.experiments.__main__.run_all", must_not_run)
+    out = tmp_path / "EXPERIMENTS.md"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["experiments", "--only", *only, "--out", str(out)])
+    assert excinfo.value.code == 2
+    assert not out.exists()
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -185,12 +185,14 @@ class S4DCacheMiddleware(IOLayer):
         if ctx is None:
             ctx = NULL_CONTEXT
         traced = ctx is not NULL_CONTEXT
-        start = self.sim.now
+        sim = self.sim
+        start = sim.now
         # Identifier + Redirector bookkeeping costs (measured by Fig. 11).
         if traced:
             id_span = ctx.begin("benefit_eval", cat="middleware",
                                 component="app", op=op)
-        yield self.sim.timeout(self.lookup_overhead)
+        if not sim.advance(self.lookup_overhead):
+            yield sim.timeout(self.lookup_overhead)
         benefit, cdt_entry = self.identifier.observe(
             rank, handle.path, op, offset, size
         )
@@ -204,9 +206,15 @@ class S4DCacheMiddleware(IOLayer):
         owner = self._owner_names.get(rank)
         if owner is None:
             owner = self._owner_names[rank] = f"rank{rank}"
-        token = yield self.locks.acquire(
+        # The request, then the token it carries: one name, so that the
+        # finally below releases what was acquired (SIM001).
+        token = self.locks.acquire(
             self._lock_key(handle.path, offset), owner=owner
         )
+        if sim.take(token):
+            token = token.token
+        else:
+            token = yield token
         if traced:
             ctx.end(wait_span)
         try:
@@ -225,9 +233,9 @@ class S4DCacheMiddleware(IOLayer):
                     sync_span = ctx.begin("metadata_sync", cat="middleware",
                                           component="app",
                                           mutations=plan.metadata_mutations)
-                yield self.sim.timeout(
-                    plan.metadata_mutations * self.metadata_sync_cost
-                )
+                sync = plan.metadata_mutations * self.metadata_sync_cost
+                if not sim.advance(sync):
+                    yield sim.timeout(sync)
                 if traced:
                     ctx.end(sync_span)
         finally:

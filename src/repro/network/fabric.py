@@ -95,15 +95,21 @@ class Fabric:
                 "transfer", cat="network", component=f"nic:{src}",
                 src=src, dst=dst, size=size,
             )
+        sim = self.sim
         try:
-            tx_grant = yield sender.tx.acquire(priority)
+            tx_grant = sender.tx.acquire(priority)
+            if not sim.take(tx_grant):
+                yield tx_grant
             try:
-                rx_grant = yield receiver.rx.acquire(priority)
+                rx_grant = receiver.rx.acquire(priority)
+                if not sim.take(rx_grant):
+                    yield rx_grant
                 try:
                     sb = sender.bandwidth
                     rb = receiver.bandwidth
-                    wire = size / (sb if sb < rb else rb)
-                    yield self.sim.timeout(self.spec.latency + wire)
+                    delay = self.spec.latency + size / (sb if sb < rb else rb)
+                    if not sim.advance(delay):
+                        yield sim.timeout(delay)
                 finally:
                     receiver.rx.release(rx_grant)
             finally:

@@ -13,6 +13,15 @@ the profiler; only wall-clock speed differs (the pooling fast path is
 skipped, which is timing-transparent).  Wall-clock reads are
 reporting-only and never feed back into the simulation (sanctioned via
 the DET001 allowlist, like the tracer's overhead meter).
+
+It counts dispatches.  A process that continues inline
+(``Simulator.advance``/``take``) skips a scheduled event and keeps
+running in the dispatch that resumed it, and a cancelled timed entry
+is dropped undispatched.  So the report also gives the events
+scheduled over the profiled runs, read off the engine's odometer at
+each run's start and end (nothing is counted on the hot path), with
+the difference labelled "not dispatched (continued inline or
+cancelled)".
 """
 
 from __future__ import annotations
@@ -26,6 +35,21 @@ from ...sim.process import Process
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from ...sim import Simulator
+
+
+#: The label of the report row that counts events scheduled but never
+#: dispatched.
+NOT_DISPATCHED = "not dispatched (continued inline or cancelled)"
+
+
+def _settled(sim: "Simulator") -> int:
+    """Events scheduled so far that are no longer queued.
+
+    Its change over a run counts exactly the events the run dispatched,
+    continued inline or dropped as cancelled, whatever was queued when
+    the run began or is left queued when it stops.
+    """
+    return sim.events_scheduled - len(sim._heap) - len(sim._runq)
 
 
 def component_of(event: Event) -> str:
@@ -53,7 +77,10 @@ class EngineProfiler:
         self.wall: dict[str, float] = {}
         self.events: dict[str, int] = {}
         self.total_wall = 0.0
+        #: Dispatches over the profiled runs.
         self.total_events = 0
+        #: Events scheduled over the profiled runs (see :func:`_settled`).
+        self.total_scheduled = 0
         sim._profiler = self
 
     def detach(self) -> None:
@@ -74,6 +101,7 @@ class EngineProfiler:
         clock = time.perf_counter
         wall = self.wall
         counts = self.events
+        settled = _settled(sim)
         loop_start = clock()
         try:
             while True:
@@ -93,6 +121,7 @@ class EngineProfiler:
                         raise crash
         finally:
             self.total_wall += clock() - loop_start
+            self.total_scheduled += _settled(sim) - settled
         if until is not None:
             sim.now = until
         return sim.now
@@ -102,7 +131,13 @@ class EngineProfiler:
 
     # -- reporting ------------------------------------------------------
     def report(self) -> list[dict]:
-        """Per-component rows, heaviest wall time first."""
+        """Per-component rows, heaviest wall time first.
+
+        Each row's ``events`` counts dispatches.  A last row, labelled
+        :data:`NOT_DISPATCHED`, holds the events scheduled but never
+        dispatched (no wall time of its own), so the ``events`` column
+        sums to :attr:`total_scheduled`.
+        """
         rows = []
         for key in sorted(self.wall, key=lambda k: -self.wall[k]):
             seconds = self.wall[key]
@@ -112,21 +147,28 @@ class EngineProfiler:
                 "wall_seconds": seconds,
                 "share": seconds / self.total_wall if self.total_wall else 0.0,
             })
+        rows.append({"component": NOT_DISPATCHED,
+                     "events": self.total_scheduled - self.total_events,
+                     "wall_seconds": 0.0, "share": 0.0})
         return rows
 
     def render(self) -> str:
         """Plain-text breakdown table (printed at CLI exit)."""
         lines = [
             "engine wall-time by component "
-            f"({self.total_events} events, {self.total_wall:.3f}s in loop):",
+            f"({self.total_events} dispatched of {self.total_scheduled} "
+            f"events scheduled, {self.total_wall:.3f}s in loop):",
             f"  {'component':<20}{'events':>10}{'wall':>10}{'share':>8}",
         ]
-        for row in self.report():
+        *rows, skipped = self.report()
+        for row in rows:
             lines.append(
                 f"  {row['component']:<20}{row['events']:>10}"
                 f"{row['wall_seconds'] * 1e3:>8.1f}ms"
                 f"{row['share']:>8.1%}"
             )
+        lines.append(f"  {'not dispatched':<20}{skipped['events']:>10}"
+                     "  (continued inline or cancelled)")
         dispatch = sum(self.wall.values())
         overhead = self.total_wall - dispatch
         if self.total_wall > 0:

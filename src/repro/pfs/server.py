@@ -77,9 +77,12 @@ class FileServer:
         span bookkeeping entirely — the begin/end kwargs would allocate
         once per sub-request.
         """
-        start = self.sim.now
+        sim = self.sim
+        start = sim.now
+        overhead = self.software_overhead
         if ctx is None or ctx is NULL_CONTEXT:
-            yield self.sim.timeout(self.software_overhead)
+            if not sim.advance(overhead):
+                yield sim.timeout(overhead)
             os_cache = self.os_cache
             if os_cache is not None:
                 if op == OP_WRITE:
@@ -95,7 +98,8 @@ class FileServer:
                              op=op, size=size)
             ctx = ctx.under(span)
             try:
-                yield self.sim.timeout(self.software_overhead)
+                if not sim.advance(overhead):
+                    yield sim.timeout(overhead)
                 if self.os_cache is not None:
                     if op == OP_WRITE:
                         yield from self.os_cache.write(offset, size, priority,
@@ -113,33 +117,39 @@ class FileServer:
                 ctx.end(span)
         self.requests_served += 1
         self.bytes_served += size
-        return self.sim.now - start
+        return sim.now - start
 
     def _device_op(self, op: str, offset: int, size: int, priority: int,
                    ctx: "TraceContext | None" = None):
         """Queue + execute one device operation (shared by all paths)."""
+        sim = self.sim
         stream = self.stream
         if stream is not None:
-            arrival = self.sim.now
+            arrival = sim.now
             depth = self.queue.queue_length
         if ctx is None or ctx is NULL_CONTEXT:
-            grant = yield self.queue.acquire(priority)
-            start = self.sim.now
+            grant = self.queue.acquire(priority)
+            if not sim.take(grant):
+                yield grant
+            start = sim.now
             try:
                 elapsed = self.device.service_time(op, offset, size, self._rng)
-                yield self.sim.timeout(elapsed)
+                if not sim.advance(elapsed):
+                    yield sim.timeout(elapsed)
             finally:
                 self.queue.release(grant)
-            self.busy_log.record(start, self.sim.now, op)
+            self.busy_log.record(start, sim.now, op)
             if stream is not None:
-                done = self.sim.now
+                done = sim.now
                 stream.record(arrival, depth, done, done - arrival)
             return
         wait_span = ctx.begin("queue_wait", cat="server",
                               component=self.name, op=op)
-        grant = yield self.queue.acquire(priority)
+        grant = self.queue.acquire(priority)
+        if not sim.take(grant):
+            yield grant
         ctx.end(wait_span, queue_length=self.queue.queue_length)
-        start = self.sim.now
+        start = sim.now
         dev_span = ctx.begin(
             "device_service", cat="device",
             component=f"{self.name}/{self.device.name}",
@@ -147,13 +157,14 @@ class FileServer:
         )
         try:
             elapsed = self.device.service_time(op, offset, size, self._rng)
-            yield self.sim.timeout(elapsed)
+            if not sim.advance(elapsed):
+                yield sim.timeout(elapsed)
         finally:
             ctx.end(dev_span)
             self.queue.release(grant)
-        self.busy_log.record(start, self.sim.now, op)
+        self.busy_log.record(start, sim.now, op)
         if stream is not None:
-            done = self.sim.now
+            done = sim.now
             stream.record(arrival, depth, done, done - arrival)
 
     def utilisation(self) -> float:

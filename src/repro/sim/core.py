@@ -32,8 +32,16 @@ Engine layout (the hot path of every experiment in the repo):
   body, the common case, runs inline in its caller with no Process,
   bootstrap frame or AllOf, but it keeps the three zero-delay hops a
   spawned flow takes (bootstrap, completion, the AllOf's).  Every
-  event keeps its run-queue slot and sequence number, so the schedule
-  and ``events_scheduled`` are those of spawn + ``all_of``.
+  event keeps its sequence number, so the schedule and
+  ``events_scheduled`` are those of spawn + ``all_of``; a hop is
+  dispatched only when another event is ready (see below).
+- *Inline continuation.*  A process about to wait on the event the
+  loop would dispatch next anyway, resuming exactly that process,
+  continues without the round trip (:meth:`Simulator.advance` for a
+  timeout, :meth:`Simulator.take` for a fresh grant or lock request).
+  The skipped event keeps its sequence number, so the schedule and
+  every clock value are the round trip's.  The request path waits
+  through them.
 - :meth:`Simulator.run` switches Python's cyclic garbage collector off
   while its loop runs and restores the caller's setting on exit.  The
   engine and the campaign request path create no reference cycles
@@ -48,6 +56,7 @@ from __future__ import annotations
 
 import gc
 import heapq
+import math
 import typing
 from collections import deque
 
@@ -127,6 +136,11 @@ class Simulator:
         #: When set, :meth:`run` delegates to the attached
         #: :class:`~repro.obs.streaming.profiler.EngineProfiler`.
         self._profiler = None
+        #: The running loop's ``until`` (infinity without one) while
+        #: :meth:`run` runs; None outside it and while a dispatch still
+        #: has callbacks to run after the current one.  :meth:`advance`
+        #: and :meth:`take` decline whenever it is None.
+        self._horizon: float | None = None
 
     @property
     def events_scheduled(self) -> int:
@@ -302,10 +316,11 @@ class Simulator:
         runs inline in the caller, with no Process, bootstrap frame or
         AllOf.  It still takes the three zero-delay hops a spawned flow
         costs: one before it (the bootstrap) and two after it (the
-        flow's completion and the AllOf's).  Every event therefore keeps
-        its run-queue slot and sequence number, and the schedule is the
-        spawned form's.  A lone body that raises raises straight into
-        the caller.
+        flow's completion and the AllOf's).  Every hop is counted and
+        keeps its sequence number, so the schedule is the spawned
+        form's, but a hop is dispatched only when another event is
+        ready (:meth:`advance`); otherwise the caller runs straight on.
+        A lone body that raises raises straight into the caller.
 
         Killing the caller aborts an inline body, where a spawned flow
         would run on to completion; a caller that is killed mid-flow
@@ -314,11 +329,90 @@ class Simulator:
         """
         if len(bodies) != 1:
             return (yield self.all_of(self.spawn_many(bodies, name)))
-        yield self.timeout(0.0)
+        if not self.advance(0.0):
+            yield self.timeout(0.0)
         value = yield from bodies[0]
-        yield self.timeout(0.0)
-        yield self.timeout(0.0)
+        if not self.advance(0.0):
+            yield self.timeout(0.0)
+        if not self.advance(0.0):
+            yield self.timeout(0.0)
         return [value]
+
+    # -- inline continuation ----------------------------------------------
+    def advance(self, delay: float) -> bool:
+        """Continue the running process ``delay`` from now without a wait.
+
+        The order-neutral fast path for ``yield sim.timeout(delay)``::
+
+            if not sim.advance(delay):
+                yield sim.timeout(delay)
+
+        It fires only when that timeout would be the loop's next event,
+        resuming the caller: the run queue is empty, the timed front
+        lies strictly after ``now + delay``, and ``now + delay`` does
+        not pass the running loop's ``until``.  Then it counts the
+        event (its sequence number is consumed), sets ``now`` to the
+        float the timed entry would have carried and returns True, so
+        ``events_scheduled``, every later event's order and every clock
+        value are the round trip's.  Otherwise it changes nothing and
+        returns False.  Outside :meth:`run`, so under :meth:`step`, it
+        always returns False.
+        """
+        horizon = self._horizon
+        if horizon is None or self._runq or delay < 0:
+            return False
+        when = self.now + delay
+        heap = self._heap
+        if when > horizon or (heap and heap[0][0] <= when):
+            return False
+        self._seq += 1
+        self.now = when
+        return True
+
+    def take(self, event: Event) -> bool:
+        """Hand the running process ``event`` without yielding it.
+
+        The order-neutral fast path for yielding a freshly triggered
+        grant or lock request::
+
+            grant = resource.acquire(priority)
+            if not sim.take(grant):
+                yield grant
+
+        It fires only when yielding ``event`` would make the loop
+        dispatch it next, resuming the caller with its value: it is the
+        run queue's only entry, it has no waiter and no failure, and no
+        timed entry is due at ``now``.  Then it leaves the queue marked
+        as its dispatch would mark it and returns True; the caller
+        already holds the value (a grant is its own value, a lock
+        request carries its token).  Otherwise it changes nothing and
+        returns False.  Outside :meth:`run` it always returns False.
+        """
+        runq = self._runq
+        if (self._horizon is None or len(runq) != 1 or runq[0] is not event
+                or event._cb0 is not None or event._exc is not None):
+            return False
+        heap = self._heap
+        if heap and heap[0][0] <= self.now:
+            return False
+        runq.pop()
+        event._processed = True
+        event._had_joiners = True
+        return True
+
+    def _fan_out(self, event: Event, cb0, callbacks) -> None:
+        """Run a multi-waiter event's callbacks, continuation off.
+
+        A callback that resumes a process is followed by the others, so
+        that process's next wait is not the loop's next event: neither
+        :meth:`advance` nor :meth:`take` may fire inside it.
+        """
+        horizon = self._horizon
+        self._horizon = None
+        cb0(event)
+        for callback in callbacks:
+            callback(event)
+        self._horizon = horizon
 
     # -- engine plumbing --------------------------------------------------
     def _schedule(self, event: Event, delay: float) -> None:
@@ -457,11 +551,13 @@ class Simulator:
             raise SimulationError(f"until={until} is in the past (now={self.now})")
         collecting = gc.isenabled()
         gc.disable()
+        self._horizon = math.inf if until is None else until
         try:
             if self._profiler is not None:
                 return self._profiler.run(until)
             return self._loop(until)
         finally:
+            self._horizon = None
             if collecting:
                 gc.enable()
 
@@ -550,9 +646,7 @@ class Simulator:
                         cb0(event)
                     else:
                         event._callbacks = None
-                        cb0(event)
-                        for callback in callbacks:
-                            callback(event)
+                        self._fan_out(event, cb0, callbacks)
                     continue
             elif cls is _Frame:
                 # Process bootstrap: always resumes its process; the
@@ -592,9 +686,7 @@ class Simulator:
                             cb0(event)
                         else:
                             event._callbacks = None
-                            cb0(event)
-                            for callback in callbacks:
-                                callback(event)
+                            self._fan_out(event, cb0, callbacks)
                         if crashed and isinstance(event, Process):
                             crash = crashed.pop(event.pid, None)
                             if crash is not None and not event._had_joiners:

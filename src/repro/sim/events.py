@@ -176,10 +176,10 @@ class Event:
         self._had_joiners = cb0 is not None
         if cb0 is not None:
             callbacks, self._callbacks = self._callbacks, None
-            cb0(self)
-            if callbacks is not None:
-                for callback in callbacks:
-                    callback(self)
+            if callbacks is None:
+                cb0(self)
+            else:
+                self.sim._fan_out(self, cb0, callbacks)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "processed" if self._processed else (

@@ -1,6 +1,9 @@
 """EngineProfiler: wall-time attribution without result perturbation."""
 
+from repro.cluster import build_cluster, run_workload
+from repro.experiments import common
 from repro.obs.streaming import EngineProfiler, component_of
+from repro.obs.streaming.profiler import NOT_DISPATCHED
 from repro.sim import Simulator
 
 
@@ -50,6 +53,41 @@ def test_render_mentions_components_and_overhead():
     assert "engine wall-time by component" in text
     assert "rank" in text
     assert "(pop/bookkeeping)" in text
+    assert "not dispatched" in text
+
+
+def test_report_counts_events_continued_inline(monkeypatch):
+    # A small S4D run with no telemetry, so nothing is cancelled: every
+    # event scheduled but not dispatched is one that continued inline.
+    spec = common.testbed(num_nodes=4)
+    campaign = common.ior_campaign(4, "16KB", instances=2, sequential=1,
+                                   requests_per_rank=8)
+    capacity = spec.capacity_for(sum(w.data_bytes() for w in campaign))
+    cluster = build_cluster(spec, s4d=True, cache_capacity=capacity)
+    sim = cluster.sim
+    inline = []
+
+    def counting(method):
+        def counted(self, arg):
+            done = method(self, arg)
+            if self is sim:  # not a calibration run's simulator
+                inline.append(done)
+            return done
+        return counted
+
+    for name in ("advance", "take"):
+        monkeypatch.setattr(Simulator, name, counting(getattr(Simulator, name)))
+    profiler = EngineProfiler(sim)
+    before = sim.events_scheduled
+    run_workload(spec, campaign, s4d=True, cluster=cluster,
+                 phases=("interleaved",), read_runs=1)
+    assert sim.queued_events == 0
+    *rows, skipped = profiler.report()
+    assert skipped["component"] == NOT_DISPATCHED
+    assert sum(row["events"] for row in rows) == profiler.total_events
+    assert (profiler.total_events + skipped["events"]
+            == profiler.total_scheduled == sim.events_scheduled - before)
+    assert skipped["events"] == inline.count(True) > 0
 
 
 def test_detach_restores_plain_loop():

@@ -27,12 +27,27 @@ from repro.units import GiB, KiB, MiB
 
 
 def _covered(subs):
-    """The exact (server, local byte) set a plan touches."""
-    bytes_touched = set()
+    """The exact (server, local byte) set a plan touches.
+
+    Held as each server's sorted ``[start, end)`` runs, merged wherever
+    they overlap or touch: two plans touch the same bytes exactly when
+    these are equal, without a set entry per byte.
+    """
+    pieces: dict[int, list[tuple[int, int]]] = {}
     for sub in subs:
-        for b in range(sub.local_offset, sub.local_offset + sub.length):
-            bytes_touched.add((sub.server, b))
-    return bytes_touched
+        if sub.length:
+            pieces.setdefault(sub.server, []).append(
+                (sub.local_offset, sub.local_offset + sub.length))
+    runs = {}
+    for server, spans in pieces.items():
+        merged: list[list[int]] = []
+        for start, end in sorted(spans):
+            if merged and start <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], end)
+            else:
+                merged.append([start, end])
+        runs[server] = merged
+    return runs
 
 
 @settings(max_examples=200, deadline=None)

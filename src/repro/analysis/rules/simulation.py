@@ -181,7 +181,7 @@ _CONSUME_ATTRS = frozenset({
 
 #: Attribute-name fragments that mark an in-flight registration list
 #: (the Rebuilder's ``_active_batch``; deliberately narrow so that
-#: e.g. ``sim._active_process`` never matches).
+#: e.g. ``proc._waiting_on`` never matches).
 _REGISTRATION_HINTS = ("batch", "movement", "in_flight", "inflight")
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..devices.base import OP_READ
+from ..devices.base import OP_READ, OP_WRITE
 from ..devices.profiler import DeviceProfile
 from ..errors import ConfigError
 from ..pfs.layout import (
@@ -149,19 +149,30 @@ class CostModel:
         self.params = params
         self.exact_servers = exact_servers
         self.seek_gated_rotation = seek_gated_rotation
+        # The Identifier evaluates Eq. 8 on every request, so the
+        # request-independent terms are taken out of ``params`` once
+        # (the parameters are frozen): ``b`` of Eq. 2, the fitted F and
+        # the two DServer betas.
+        self._b = params.max_seek + params.avg_rotation
+        hdd = params.hdd_profile
+        seek = hdd.seek_profile
+        self._seek_time = seek.seek_time if seek is not None else hdd.seek_time
+        self._beta_d_read = params.beta_d(OP_READ)
+        self._beta_d_write = params.beta_d(OP_WRITE)
+        #: ``T_C`` by ``(op, size)``: Eq. 7 depends on nothing else.
+        self._t_c: dict[tuple[str, int], float] = {}
 
     # -- DServer side (Eq. 1-6) -----------------------------------------
     def startup_time(self, distance: int, num_servers: int) -> float:
         """Expected max startup over ``num_servers`` servers (Eq. 4)."""
-        p = self.params
-        rotation = p.avg_rotation
-        if self.seek_gated_rotation and distance == 0:
+        rotation = self.params.avg_rotation
+        if distance == 0 and self.seek_gated_rotation:
             rotation = 0.0
-        a = p.hdd_profile.seek_time(distance) + rotation
-        b = p.max_seek + p.avg_rotation
+        a = self._seek_time(distance) + rotation
+        b = self._b
         if a > b:  # fitted F can exceed measured S at the far edge
             a = b
-        m = max(1, num_servers)
+        m = num_servers if num_servers > 1 else 1
         return a + (m / (m + 1)) * (b - a)
 
     def involved_servers(self, offset: int, size: int) -> int:
@@ -179,7 +190,9 @@ class CostModel:
         m = self.involved_servers(offset, size)
         t_s = self.startup_time(distance, m)
         s_m = max_subrequest_paper(offset, size, p.d_stripe, p.num_dservers)
-        return t_s + s_m * p.beta_d(op)
+        return t_s + s_m * (
+            self._beta_d_read if op == OP_READ else self._beta_d_write
+        )
 
     # -- CServer side (Eq. 7) ---------------------------------------------
     def cost_cservers(self, op: str, size: int) -> float:
@@ -188,11 +201,16 @@ class CostModel:
         ``S_n`` is the maximum per-server share when the request is
         striped over all N CServers; the cache file's own offset is not
         known at admission time, so the aligned (offset 0) layout is
-        used.
+        used.  That leaves ``(op, size)`` as the only inputs, so each
+        pair is computed once.
         """
-        p = self.params
-        s_n = max_subrequest_paper(0, size, p.c_stripe, p.num_cservers)
-        return s_n * p.beta_c(op)
+        key = (op, size)
+        t_c = self._t_c.get(key)
+        if t_c is None:
+            p = self.params
+            s_n = max_subrequest_paper(0, size, p.c_stripe, p.num_cservers)
+            t_c = self._t_c[key] = s_n * p.beta_c(op)
+        return t_c
 
     # -- the decision value (Eq. 8) -----------------------------------------
     def benefit(self, op: str, offset: int, size: int, distance: int) -> float:

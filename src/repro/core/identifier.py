@@ -17,6 +17,10 @@ from .metrics import CacheMetrics
 from .policy import Policy, SelectivePolicy
 from .tables import CDT, CDTEntry
 
+#: ``d`` for a stream's first request: effectively "far", so the first
+#: access pays the full seek.
+FAR_DISTANCE = 1 << 40
+
 
 class DataIdentifier:
     """Evaluates requests and maintains the CDT."""
@@ -35,29 +39,24 @@ class DataIdentifier:
         #: (rank, file) -> end offset of the previous request.
         self._last_end: dict[tuple[int, str], int] = {}
 
-    def request_distance(self, rank: int, d_file: str, offset: int) -> int:
-        """``d``: gap between this request and the rank's previous one.
-
-        The first request of a stream has no predecessor; the paper
-        treats startup conservatively, so we use the maximal distance
-        (the whole device span would do — any value >= the seek
-        curve's saturation point behaves identically).
-        """
-        last = self._last_end.get((rank, d_file))
-        if last is None:
-            return 1 << 40  # effectively "far": first access pays full seek
-        return abs(offset - last)
-
     def observe(
         self, rank: int, d_file: str, op: str, offset: int, size: int
     ) -> tuple[float, CDTEntry | None]:
         """Evaluate one request; returns (benefit, CDT entry or None).
 
-        Updates the per-stream distance tracker and admits the request
-        to the CDT when the policy deems it critical.
+        ``d`` is the gap between this request and the end of the
+        stream's previous one.  The first request of a stream has no
+        predecessor; the paper treats startup conservatively, so it
+        gets :data:`FAR_DISTANCE` (any value at or past the seek
+        curve's saturation point behaves identically).  Updates the
+        per-stream distance tracker and admits the request to the CDT
+        when the policy deems it critical.
         """
-        distance = self.request_distance(rank, d_file, offset)
-        self._last_end[(rank, d_file)] = offset + size
+        stream = (rank, d_file)
+        last_end = self._last_end
+        last = last_end.get(stream)
+        distance = FAR_DISTANCE if last is None else abs(offset - last)
+        last_end[stream] = offset + size
         benefit = self.cost_model.benefit(op, offset, size, distance)
         self.metrics.benefit_evaluations += 1
         entry = self.cdt.lookup(d_file, offset, size)

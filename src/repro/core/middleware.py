@@ -221,7 +221,7 @@ class S4DCacheMiddleware(IOLayer):
             plan = self.redirector.route(
                 op,
                 handle.path,
-                self.cache_path(handle.path),
+                handle.private["s4d_cache_path"],
                 offset,
                 size,
                 cdt_entry,
@@ -253,9 +253,10 @@ class S4DCacheMiddleware(IOLayer):
     def _execute(self, rank, handle, plan, offset, size, priority, start,
                  ctx=NULL_CONTEXT):
         """Issue the planned segments in parallel and merge results."""
+        op = plan.op
         d_handle = self.direct.pfs.open(handle.path)
-        c_handle = self.cpfs.open(self.cache_path(handle.path))
-        stamp = next_stamp() if plan.op == OP_WRITE else None
+        c_handle = self.cpfs.open(handle.private["s4d_cache_path"])
+        stamp = next_stamp() if op == OP_WRITE else None
 
         exec_span = None
         if ctx is not NULL_CONTEXT:
@@ -264,10 +265,10 @@ class S4DCacheMiddleware(IOLayer):
         exec_ctx = ctx.under(exec_span)
         try:
             step_results = yield from self.sim.gather(
-                [self._step_flow(rank, d_handle, c_handle, plan.op, step,
+                [self._step_flow(rank, d_handle, c_handle, op, step,
                                  stamp, priority, exec_ctx)
                  for step in plan.steps],
-                name="s4d:" + plan.op,
+                name="s4d:" + op,
             )
         finally:
             if exec_span is not None:
@@ -277,22 +278,13 @@ class S4DCacheMiddleware(IOLayer):
         for r in step_results:
             if r.servers_touched > servers_touched:
                 servers_touched = r.servers_touched
-        result = IOResult(
-            op=plan.op,
-            path=handle.path,
-            offset=offset,
-            size=size,
-            start_time=start,
-            end_time=self.sim.now,
-            servers_touched=servers_touched,
-            stamp=stamp,
-            cserver_bytes=plan.cserver_bytes,
-        )
-        if plan.op == OP_WRITE:
+        if op == OP_WRITE:
             d_handle.size = max(d_handle.size, offset + size)
+            segments = []
         else:
-            result.segments = self._merge_read_segments(plan.steps, step_results)
-        return result
+            segments = self._merge_read_segments(plan.steps, step_results)
+        return IOResult(op, handle.path, offset, size, start, self.sim.now,
+                        servers_touched, segments, stamp, plan.cserver_bytes)
 
     def _step_flow(self, rank, d_handle, c_handle, op, step: RouteStep,
                    stamp, priority, ctx=NULL_CONTEXT):
@@ -337,11 +329,9 @@ class S4DCacheMiddleware(IOLayer):
         for step, res in zip(steps, step_results):
             if step.target == TO_CSERVERS:
                 shift = step.d_offset - step.c_offset
-                merged.extend(
-                    (s + shift, e + shift, v) for s, e, v in res.segments
-                )
+                merged += [(s + shift, e + shift, v) for s, e, v in res.segments]
             else:
-                merged.extend(res.segments)
+                merged += res.segments
         merged.sort()
         # Coalesce adjacent segments with the same stamp for stable
         # comparisons against plain PFS reads.
@@ -350,8 +340,8 @@ class S4DCacheMiddleware(IOLayer):
             if out and out[-1][1] == seg[0] and out[-1][2] == seg[2]:
                 out[-1] = (out[-1][0], seg[1], seg[2])
             else:
-                out.append(list(seg))
-        return [tuple(seg) for seg in out]
+                out.append(seg)
+        return out
 
     # -- IOLayer: close / finalize ----------------------------------------------
     def close(self, rank: int, handle: FileHandle):

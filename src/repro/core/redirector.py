@@ -25,6 +25,7 @@ the middleware charges the metadata-sync latency.
 from __future__ import annotations
 
 import dataclasses
+import operator
 
 from ..devices.base import OP_READ, OP_WRITE
 from ..errors import CacheError
@@ -38,9 +39,12 @@ TO_DSERVERS = "dservers"
 TO_CSERVERS = "cservers"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class RouteStep:
-    """One contiguous segment of a request, routed to one target."""
+    """One contiguous segment of a request, routed to one target.
+
+    Built once by :meth:`Redirector.route` and never mutated.
+    """
 
     target: str
     #: Offset/size in the *original* file's coordinates.
@@ -52,7 +56,11 @@ class RouteStep:
     extent: DMTExtent | None = None
 
 
-@dataclasses.dataclass
+#: Sort key restoring request order in a multi-step plan.
+_BY_D_OFFSET = operator.attrgetter("d_offset")
+
+
+@dataclasses.dataclass(slots=True)
 class RoutePlan:
     """The Redirector's decision for one request.
 
@@ -124,12 +132,13 @@ class Redirector:
         if ctx is not None and ctx is not NULL_CONTEXT:
             span = ctx.begin("route", cat="middleware", component="app",
                              op=op)
-        plan = RoutePlan(op=op, d_file=d_file, steps=[], space=self.space)
+        steps: list[RouteStep] = []
+        plan = RoutePlan(op, d_file, steps, 0, 0, self.space)
         # Snapshot the hit segments once (a bisect plus a short walk —
         # no gap tuples, no full-range tiling); the gaps between them
         # are derived below.  The snapshot matters: hit handling and
         # write-miss admission mutate the DMT mid-plan.
-        hits = list(self.dmt.extents_overlapping(d_file, offset, size))
+        hits = self.dmt.extents_overlapping(d_file, offset, size)
         # Hit segments are resolved BEFORE miss segments: a write
         # miss's clean-LRU eviction may otherwise evict the very
         # extent a later hit segment of the same request references
@@ -143,9 +152,10 @@ class Redirector:
                 # like with like.  A devalued resident may newly fall
                 # below a fetch threshold, so the victim-scan cache
                 # must forget its "no victim" answer.
-                if cdt_entry.benefit < extent.benefit:
+                benefit = cdt_entry.benefit
+                if benefit < extent.benefit:
                     self.space.invalidate_evictable()
-                extent.benefit = cdt_entry.benefit
+                extent.benefit = benefit
             self._route_hit(plan, op, seg_start, seg_end - seg_start, extent)
         pos = offset
         end = offset + size
@@ -159,11 +169,13 @@ class Redirector:
                              cdt_entry)
         # Pin every referenced extent until the caller releases the
         # plan (after the data movement completes).
-        for step in plan.steps:
+        for step in steps:
             if step.extent is not None:
                 step.extent.pins += 1
-        # Restore request order for readability of plans/results.
-        plan.steps.sort(key=lambda s: s.d_offset)
+        # Restore request order for readability of plans/results (hits
+        # were planned before misses).
+        if len(steps) > 1:
+            steps.sort(key=_BY_D_OFFSET)
         self._account(plan, size)
         if span is not None:
             ctx.end(
@@ -278,7 +290,10 @@ class Redirector:
 
     # -- accounting ----------------------------------------------------------
     def _account(self, plan: RoutePlan, size: int) -> None:
-        d_bytes = sum(s.size for s in plan.steps if s.target == TO_DSERVERS)
+        d_bytes = 0
+        for step in plan.steps:
+            if step.target == TO_DSERVERS:
+                d_bytes += step.size
         c_bytes = plan.cserver_bytes = size - d_bytes
         self.metrics.bytes_to_dservers += d_bytes
         self.metrics.bytes_to_cservers += c_bytes

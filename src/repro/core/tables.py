@@ -16,8 +16,10 @@ serialises concurrent metadata access as §III.D describes.
 Indexing note: both tables sit on the metadata hot path (every request
 consults them; the Rebuilder polls them every epoch), so the queries
 that used to be full-table scans are backed by incrementally-maintained
-indexes — a sorted pending-fetch order and a benefit min-heap on the
-CDT, a dirty-extent dict and running counters on the DMT.  All index
+indexes — a sorted pending-fetch order on the CDT (plus a benefit
+min-heap when the CDT is bounded, the only case that evicts), a
+dirty-extent dict and running counters on the DMT.  An index exists
+only where something reads it on the path it costs.  All index
 orders are deterministic (admission / dirtying order, or a total order
 ending in the admission sequence), never hash-randomised:
 iteration over these dicts is insertion-ordered by the language, and
@@ -30,7 +32,6 @@ import bisect
 import dataclasses
 import heapq
 import itertools
-import typing
 
 from ..errors import CacheError
 from ..intervals import IntervalMap
@@ -40,40 +41,80 @@ from ..kvstore import HashDB
 #: (offsets are byte positions; no file approaches 2**63).
 _SPAN_ALL = 1 << 63
 
+#: Durable-log records the DMT tolerates beyond twice its live records
+#: before it compacts the log (see :meth:`DMT._bound_log`).
+WAL_SLACK = 1024
 
-@dataclasses.dataclass
+
 class CDTEntry:
     """One critical-data record (D_file, D_offset, Length, C_flag).
 
-    ``c_flag`` and ``benefit`` writes are intercepted so the owning
-    :class:`CDT` can maintain its pending-fetch and eviction indexes —
-    callers (redirector, rebuilder, tests) assign these attributes
-    directly and must not need to know about the indexes.
+    ``c_flag`` and ``benefit`` are properties whose setters tell the
+    owning :class:`CDT`, so it can maintain its pending-fetch and
+    eviction indexes — callers (redirector, rebuilder, tests) assign
+    these attributes directly and must not need to know about the
+    indexes.  Every other write is a plain slot store.  Equality and
+    ``repr`` are a dataclass's over the five fields.
     """
 
-    d_file: str
-    d_offset: int
-    length: int
-    #: True when a read miss asked the Rebuilder to fetch this data.
-    c_flag: bool = False
-    #: Benefit computed when the entry was admitted (diagnostics).
-    benefit: float = 0.0
+    __slots__ = ("d_file", "d_offset", "length", "_c_flag", "_benefit",
+                 "_table", "_seq")
 
-    # Back-reference to the owning table plus the admission sequence
-    # number (the deterministic tiebreaker for equal benefits).  Plain
-    # class attributes — not annotated, hence not dataclass fields —
-    # so the generated ``__init__`` runs before a table adopts us.
-    _table = None
-    _seq = 0
+    def __init__(self, d_file: str, d_offset: int, length: int,
+                 c_flag: bool = False, benefit: float = 0.0):
+        self.d_file = d_file
+        self.d_offset = d_offset
+        self.length = length
+        self._c_flag = c_flag
+        self._benefit = benefit
+        # The owning table and the admission sequence number (the
+        # deterministic tiebreaker for equal benefits), set by the
+        # table that adopts the entry.
+        self._table: CDT | None = None
+        self._seq = 0
 
-    def __setattr__(self, name: str, value: typing.Any) -> None:
-        object.__setattr__(self, name, value)
-        if self._table is not None and (name == "c_flag" or name == "benefit"):
-            self._table._entry_changed(self)
+    @property
+    def c_flag(self) -> bool:
+        """True when a read miss asked the Rebuilder to fetch this data."""
+        return self._c_flag
+
+    @c_flag.setter
+    def c_flag(self, value: bool) -> None:
+        self._c_flag = value
+        if self._table is not None:
+            self._table._reindex_fetch(self)
+
+    @property
+    def benefit(self) -> float:
+        """The benefit's moving average over this entry's observations."""
+        return self._benefit
+
+    @benefit.setter
+    def benefit(self, value: float) -> None:
+        self._benefit = value
+        if self._table is not None:
+            self._table._benefit_changed(self)
 
     @property
     def key(self) -> tuple[str, int, int]:
         return (self.d_file, self.d_offset, self.length)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.d_file, self.d_offset, self.length, self._c_flag,
+                self._benefit) == (other.d_file, other.d_offset,
+                                   other.length, other._c_flag,
+                                   other._benefit)
+
+    __hash__ = None  # mutable and compared by value, like a dataclass
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(d_file={self.d_file!r}, "
+            f"d_offset={self.d_offset!r}, length={self.length!r}, "
+            f"c_flag={self._c_flag!r}, benefit={self._benefit!r})"
+        )
 
 
 class CDT:
@@ -81,26 +122,28 @@ class CDT:
 
     Entries are keyed by the exact (file, offset, length) triple —
     repeated request patterns (the common HPC case the paper leans on)
-    hit the same entries.  A per-file index answers per-file scans, a
-    sorted fetch order of the C_flag entries answers the Rebuilder's
-    "what should I fetch" poll, and a lazily-invalidated benefit
-    min-heap picks eviction victims; none of these require scanning or
-    sorting the whole table.
+    hit the same entries.  A sorted fetch order of the C_flag entries
+    answers the Rebuilder's "what should I fetch" poll, and a bounded
+    table's lazily-invalidated benefit min-heap picks eviction
+    victims; neither requires scanning or sorting the whole table.
     """
 
     def __init__(self, capacity_entries: int | None = None):
         self._entries: dict[tuple[str, int, int], CDTEntry] = {}
-        self._by_file: dict[str, dict[tuple[str, int, int], CDTEntry]] = {}
         #: Fetch order of the entries whose C_flag is set: sorted
         #: ``(-benefit, d_file, d_offset, _seq, entry)`` rows.  ``_seq``
         #: is unique, so comparisons never reach ``entry``.
         self._fetch_order: list[tuple] = []
         #: The same rows keyed like ``_entries`` (O(log n) removal).
         self._pending: dict[tuple[str, int, int], tuple] = {}
-        #: Eviction heap of ``(benefit, admit_seq, key)`` records.
-        #: Records go stale when an entry's benefit changes or the
-        #: entry is evicted; they are validated lazily on pop.
-        self._benefit_heap: list[tuple[float, int, tuple[str, int, int]]] = []
+        #: Eviction heap of ``(benefit, admit_seq, key)`` records, kept
+        #: only when the table is bounded (an unbounded table never
+        #: evicts, so it keeps none).  Records go stale when an entry's
+        #: benefit changes or the entry is evicted; they are validated
+        #: lazily on pop.
+        self._benefit_heap: list[tuple[float, int, tuple[str, int, int]]] | None = (
+            [] if capacity_entries is not None else None
+        )
         self._admit_seq = 0
         self.capacity_entries = capacity_entries
 
@@ -134,42 +177,48 @@ class CDT:
                 and len(self._entries) >= self.capacity_entries
             ):
                 self._evict_one()
-            entry = CDTEntry(d_file, d_offset, length, benefit=benefit)
-            self._admit_seq += 1
-            entry._seq = self._admit_seq
+            entry = CDTEntry(d_file, d_offset, length, False, benefit)
+            self._admit_seq = entry._seq = self._admit_seq + 1
             entry._table = self
             self._entries[key] = entry
-            self._by_file.setdefault(d_file, {})[key] = entry
-            heapq.heappush(self._benefit_heap, (benefit, entry._seq, key))
+            if self._benefit_heap is not None:
+                heapq.heappush(self._benefit_heap, (benefit, entry._seq, key))
         else:
             ema = self.BENEFIT_EMA
-            # Assigning through the entry keeps the benefit heap posted.
-            entry.benefit = (1 - ema) * entry.benefit + ema * benefit
+            # Assigning through the entry keeps the indexes posted.
+            entry.benefit = (1 - ema) * entry._benefit + ema * benefit
         return entry
 
     # -- index maintenance ----------------------------------------------
-    def _entry_changed(self, entry: CDTEntry) -> None:
-        """Called by :class:`CDTEntry` on ``c_flag``/``benefit`` writes."""
+    def _reindex_fetch(self, entry: CDTEntry) -> None:
+        """Keep ``entry``'s fetch-order row in step with its C_flag and
+        benefit (called by :class:`CDTEntry`'s setters)."""
         key = (entry.d_file, entry.d_offset, entry.length)
         row = self._pending.get(key)
-        if entry.c_flag:
+        if entry._c_flag:
             # Re-insert only when the row's sort key actually moved.
-            if row is None or row[0] != -entry.benefit:
+            if row is None or row[0] != -entry._benefit:
                 if row is not None:
                     self._drop_row(row)
-                row = (-entry.benefit, entry.d_file, entry.d_offset,
+                row = (-entry._benefit, entry.d_file, entry.d_offset,
                        entry._seq, entry)
                 bisect.insort(self._fetch_order, row)
                 self._pending[key] = row
         elif row is not None:
             del self._pending[key]
             self._drop_row(row)
+
+    def _benefit_changed(self, entry: CDTEntry) -> None:
+        """Called by :class:`CDTEntry` on ``benefit`` writes."""
+        if entry._c_flag:
+            self._reindex_fetch(entry)
         heap = self._benefit_heap
-        heapq.heappush(heap, (entry.benefit, entry._seq, key))
-        # Stale records accumulate one per benefit update; compact the
-        # heap once they clearly dominate its size.
-        if len(heap) > 64 + 4 * len(self._entries):
-            self._rebuild_benefit_heap()
+        if heap is not None:
+            heapq.heappush(heap, (entry._benefit, entry._seq, entry.key))
+            # Stale records accumulate one per benefit update; compact
+            # the heap once they clearly dominate its size.
+            if len(heap) > 64 + 4 * len(self._entries):
+                self._rebuild_benefit_heap()
 
     def _drop_row(self, row: tuple) -> None:
         order = self._fetch_order
@@ -177,18 +226,13 @@ class CDT:
 
     def _rebuild_benefit_heap(self) -> None:
         self._benefit_heap = [
-            (e.benefit, e._seq, k) for k, e in self._entries.items()
+            (e._benefit, e._seq, k) for k, e in self._entries.items()
         ]
         heapq.heapify(self._benefit_heap)
 
     def _remove_entry(self, entry: CDTEntry) -> None:
         key = (entry.d_file, entry.d_offset, entry.length)
         del self._entries[key]
-        file_index = self._by_file.get(entry.d_file)
-        if file_index is not None:
-            file_index.pop(key, None)
-            if not file_index:
-                del self._by_file[entry.d_file]
         row = self._pending.pop(key, None)
         if row is not None:
             self._drop_row(row)
@@ -210,12 +254,14 @@ class CDT:
             if (
                 entry is not None
                 and entry._seq == seq
-                and entry.benefit == benefit
+                and entry._benefit == benefit
             ):
                 self._remove_entry(entry)
                 return
-        if entries:  # pragma: no cover - heap always holds live records
-            victim = min(entries.values(), key=lambda e: (e.benefit, e._seq))
+        # A bounded table's heap always holds the live records; only a
+        # table bounded after construction has none and scans.
+        if entries:
+            victim = min(entries.values(), key=lambda e: (e._benefit, e._seq))
             self._remove_entry(victim)
 
     # -- queries ---------------------------------------------------------
@@ -241,8 +287,9 @@ class CDT:
         return out
 
     def entries_for(self, d_file: str) -> list[CDTEntry]:
-        """All entries for one file, in admission order."""
-        return list(self._by_file.get(d_file, {}).values())
+        """All entries for one file, in admission order (a scan: only
+        diagnostics ask, so no per-file index is kept for it)."""
+        return [e for e in self._entries.values() if e.d_file == d_file]
 
 
 @dataclasses.dataclass(slots=True)
@@ -337,23 +384,26 @@ class DMT:
 
     def extents_overlapping(
         self, d_file: str, offset: int, size: int
-    ) -> typing.Iterator[tuple[int, int, DMTExtent]]:
+    ) -> list[tuple[int, int, DMTExtent]]:
         """Hit segments of ``[offset, offset+size)``, in offset order.
 
-        Yields ``(seg_start, seg_end, extent)`` for each mapped piece,
-        clipped to the queried range — the lazy counterpart of
-        :meth:`lookup` that reports no gaps and materialises nothing.
-        This is the hit-iteration primitive behind request routing:
-        bisect to the first candidate, walk while ranges intersect.
+        ``(seg_start, seg_end, extent)`` for each mapped piece, clipped
+        to the queried range — the counterpart of :meth:`lookup` that
+        reports no gaps.  This is the hit query behind request routing
+        (bisect to the first candidate, walk while ranges intersect);
+        the router mutates the DMT while it walks the result, so it is
+        a list.
         """
         index = self._by_file.get(d_file)
         if index is None:
-            return
+            return []
         end = offset + size
-        for iv_start, iv_end, extent in index.spans(offset, end):
-            seg_start = iv_start if iv_start > offset else offset
-            seg_end = iv_end if iv_end < end else end
-            yield seg_start, seg_end, extent
+        return [
+            (iv_start if iv_start > offset else offset,
+             iv_end if iv_end < end else end,
+             extent)
+            for iv_start, iv_end, extent in index.spans(offset, end)
+        ]
 
     def fully_mapped(self, d_file: str, offset: int, size: int) -> bool:
         index = self._by_file.get(d_file)
@@ -408,17 +458,11 @@ class DMT:
         """
         if length <= 0:
             raise CacheError(f"DMT extent length must be positive: {length}")
-        index = self._by_file.setdefault(d_file, IntervalMap())
-        extent = DMTExtent(
-            record_id=next(self._ids),
-            d_file=d_file,
-            d_offset=d_offset,
-            c_file=c_file,
-            c_offset=c_offset,
-            length=length,
-            dirty=dirty,
-            benefit=benefit,
-        )
+        index = self._by_file.get(d_file)
+        if index is None:
+            index = self._by_file[d_file] = IntervalMap()
+        extent = DMTExtent(next(self._ids), d_file, d_offset, c_file,
+                           c_offset, length, dirty, 0, benefit)
         try:
             index.add(d_offset, d_offset + length, extent)
         except ValueError as exc:
@@ -430,7 +474,7 @@ class DMT:
         self._bytes += length
         if dirty:
             self._dirty[extent.record_id] = extent
-        self.db.put(self._key(extent), extent.to_record())
+        self._persist(extent)
         return extent
 
     def set_dirty(self, extent: DMTExtent, dirty: bool) -> None:
@@ -443,7 +487,7 @@ class DMT:
                 self._dirty[extent.record_id] = extent
             else:
                 self._dirty.pop(extent.record_id, None)
-            self.db.put(self._key(extent), extent.to_record())
+            self._persist(extent)
 
     def remove(self, extent: DMTExtent) -> None:
         """Unmap an extent entirely (eviction)."""
@@ -458,9 +502,30 @@ class DMT:
         self._bytes -= extent.length
         self._dirty.pop(extent.record_id, None)
         self.db.delete(self._key(extent))
+        self._bound_log()
 
     def _key(self, extent: DMTExtent) -> str:
         return f"{extent.d_file}#{extent.record_id}"
+
+    def _persist(self, extent: DMTExtent) -> None:
+        self.db.put(self._key(extent), extent.to_record())
+        self._bound_log()
+
+    def _bound_log(self) -> None:
+        """Compact the durable log once it outgrows the live records.
+
+        Every mutation appends a record, so without this the log holds
+        every record ever written.  A log past twice the live records
+        plus :data:`WAL_SLACK` is rewritten as one record per live key;
+        replaying it rebuilds the same map, and :meth:`recover` reads
+        the keys sorted, so recovery is unchanged.  Only a store that
+        syncs every mutation compacts: compaction syncs, which would
+        make a manual-sync store's pending records durable early.
+        """
+        db = self.db
+        if (db.durable_log_length > 2 * self._count + WAL_SLACK
+                and db.sync_mode == "always"):
+            db.compact()
 
     # -- durability ------------------------------------------------------
     def recover(self) -> None:

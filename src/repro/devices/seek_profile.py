@@ -20,6 +20,7 @@ to cylinders internally.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 from ..errors import ConfigError
@@ -56,9 +57,13 @@ class SeekProfile:
         if self.knee < 1:
             raise ConfigError("seek profile knee must be >= 1 cylinder")
 
-    @property
+    @functools.cached_property
     def _lin_base(self) -> float:
-        """Offset making the linear piece continuous at the knee."""
+        """Offset making the linear piece continuous at the knee.
+
+        Computed on first use and kept: the cost model evaluates a far
+        seek on every request.
+        """
         return (
             self.min_seek
             + self.sqrt_coeff * math.sqrt(self.knee)
@@ -67,14 +72,15 @@ class SeekProfile:
 
     def seek_time(self, distance_bytes: int) -> float:
         """``F(d)``: seconds of seek for a byte distance ``d`` (>= 0)."""
-        if distance_bytes < 0:
-            raise ConfigError(f"negative seek distance: {distance_bytes}")
-        if distance_bytes == 0:
+        if distance_bytes <= 0:
+            if distance_bytes < 0:
+                raise ConfigError(f"negative seek distance: {distance_bytes}")
             return 0.0
-        cyl = min(
-            max(1, distance_bytes // self.bytes_per_cylinder),
-            self.total_cylinders,
-        )
+        cyl = distance_bytes // self.bytes_per_cylinder
+        if cyl < 1:
+            cyl = 1
+        elif cyl > self.total_cylinders:
+            cyl = self.total_cylinders
         if cyl < self.knee:
             return self.min_seek + self.sqrt_coeff * math.sqrt(cyl)
         return self._lin_base + self.lin_coeff * cyl

@@ -71,7 +71,7 @@ class IntervalMap(typing.Generic[T]):
         """Map ``[start, end)`` to ``value``, overwriting overlaps."""
         if end <= start or start < 0:
             raise ValueError(f"bad range [{start}, {end})")
-        self.clear_range(start, end)
+        self._clear(start, end, None)
         idx = bisect.bisect_left(self._starts, start)
         self._starts.insert(idx, start)
         self._ends.insert(idx, end)
@@ -107,12 +107,20 @@ class IntervalMap(typing.Generic[T]):
 
     def clear_range(self, start: int, end: int) -> list[Interval[T]]:
         """Unmap ``[start, end)``; returns the removed (clipped) pieces."""
-        if end <= start:
-            return []
+        removed: list[Interval[T]] = []
+        if end > start:
+            self._clear(start, end, removed)
+        return removed
+
+    def _clear(
+        self, start: int, end: int, removed: list[Interval[T]] | None
+    ) -> None:
+        """Unmap ``[start, end)`` (non-empty), appending the clipped
+        pieces to ``removed`` unless it is None (:meth:`set` discards
+        them, so it builds none)."""
         starts = self._starts
         ends = self._ends
         values = self._values
-        removed: list[Interval[T]] = []
         idx = bisect.bisect_right(starts, start) - 1
         if idx < 0:
             idx = 0
@@ -133,9 +141,11 @@ class IntervalMap(typing.Generic[T]):
                 keep_left = (i_start, start, value)
             if i_end > end:
                 keep_right = (end, i_end, value)
-            clipped = Interval(max(i_start, start), min(i_end, end), value)
-            removed.append(clipped)
-            self._total_bytes -= clipped.end - clipped.start
+            c_start = i_start if i_start > start else start
+            c_end = i_end if i_end < end else end
+            if removed is not None:
+                removed.append(Interval(c_start, c_end, value))
+            self._total_bytes -= c_end - c_start
             if first_removed is None:
                 first_removed = idx
             del starts[idx]
@@ -149,7 +159,6 @@ class IntervalMap(typing.Generic[T]):
                 starts.insert(insert_at, piece[0])
                 ends.insert(insert_at, piece[1])
                 values.insert(insert_at, piece[2])
-        return removed
 
     def remove_exact(self, start: int, end: int) -> Interval[T]:
         """Remove an interval that must exist with these exact bounds."""

@@ -39,9 +39,9 @@ _DELETE = "delete"
 _LEN = struct.Struct("<I")
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class WalRecord:
-    """One durable log record."""
+    """One durable log record (written once, never mutated)."""
 
     op: str
     key: str

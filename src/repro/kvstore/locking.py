@@ -33,7 +33,16 @@ class LockRequest(Event):
     __slots__ = ("manager", "token")
 
     def __init__(self, manager: "LockManager", token: LockToken):
-        super().__init__(manager.sim)
+        # Event.__init__ unrolled, as in Grant: every S4D request makes
+        # one of these.
+        self.sim = manager.sim
+        self._cb0 = None
+        self._callbacks = None
+        self._value = None
+        self._exc = None
+        self._triggered = False
+        self._processed = False
+        self._had_joiners = False
         self.manager = manager
         self.token = token
 
@@ -65,7 +74,13 @@ class LockManager:
         if key not in self._held:
             self._held[key] = token
             self.acquisitions += 1
-            event.succeed(token)
+            # Inlined event.succeed(token) zero-delay path (the request
+            # is fresh, so the already-triggered check cannot fire).
+            event._triggered = True
+            event._value = token
+            sim = self.sim
+            sim._seq = event._qseq = sim._seq + 1
+            sim._runq.append(event)
         else:
             self.contentions += 1
             self._waiters.setdefault(key, []).append((event, token))

@@ -81,6 +81,10 @@ class PFSClient:
         self.fabric = fabric
         self.endpoint = endpoint
         self.spawn_flows = spawn_flows
+        # The layout every request is split by, read once (a PFS's
+        # servers and stripe size are fixed at construction).
+        self._stripe = pfs.stripe_size
+        self._num_servers = pfs.num_servers
         fabric.add_endpoint(endpoint)
         for server in pfs.servers:
             fabric.add_endpoint(server.name)
@@ -139,8 +143,8 @@ class PFSClient:
         if ctx is None:
             ctx = NULL_CONTEXT
         start = self.sim.now
-        subs = split_request(offset, size, self.pfs.stripe_size, self.pfs.num_servers)
-        if len(subs) > self.pfs.num_servers:
+        subs = split_request(offset, size, self._stripe, self._num_servers)
+        if len(subs) > self._num_servers:
             fragments = len(subs)
             subs = coalesce_subrequests(subs)
             self.subrequests_coalesced += fragments - len(subs)
@@ -153,9 +157,11 @@ class PFSClient:
                 sub_requests=len(subs),
             )
         sub_ctx = ctx.under(span)
-        # One shared debug name per request (not per sub-request): the
-        # per-sub f-string was a measurable allocation on the hot path.
-        flow_name = f"{op}:{handle.name}"
+        # One shared debug name per request (not per sub-request), and
+        # only when processes are spawned to carry it: a lone
+        # sub-request runs inline in the caller and needs none.
+        flow_name = (f"{op}:{handle.name}"
+                     if self.spawn_flows or len(subs) > 1 else "")
         try:
             if self.spawn_flows:
                 yield self.sim.all_of(self.sim.spawn_many(
@@ -177,23 +183,17 @@ class PFSClient:
         self.bytes_moved += size
         if self.stream is not None:
             self.stream.observe(self.sim.now - start)
-        result = IOResult(
-            op=op,
-            path=handle.name,
-            offset=offset,
-            size=size,
-            start_time=start,
-            end_time=self.sim.now,
-            servers_touched=len({sub.server for sub in subs}),
-        )
         if op == OP_WRITE:
-            write_stamp = stamp if stamp is not None else next_stamp()
-            handle.content.write(offset, size, write_stamp)
+            stamp = stamp if stamp is not None else next_stamp()
+            handle.content.write(offset, size, stamp)
             handle.size = max(handle.size, offset + size)
-            result.stamp = write_stamp
+            segments = []
         else:
-            result.segments = handle.content.read(offset, size)
-        return result
+            stamp = None
+            segments = handle.content.read(offset, size)
+        touched = 1 if len(subs) == 1 else len({sub.server for sub in subs})
+        return IOResult(op, handle.name, offset, size, start, self.sim.now,
+                        touched, segments, stamp)
 
     def _sub_flow(self, op, handle: PFSFile, sub, priority,
                   ctx=NULL_CONTEXT):

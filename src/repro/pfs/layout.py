@@ -22,24 +22,29 @@ import math
 from ..errors import PFSError
 
 
-def _validate(offset: int, size: int, stripe: int, servers: int) -> None:
+def _invalid(offset: int, size: int, stripe: int, servers: int) -> PFSError:
+    """The error for arguments that fail a layout function's guard.
+
+    Each function guards inline (one comparison chain, no call) and
+    builds its error here only when the guard trips.
+    """
     if stripe <= 0:
-        raise PFSError(f"stripe size must be positive: {stripe}")
+        return PFSError(f"stripe size must be positive: {stripe}")
     if servers <= 0:
-        raise PFSError(f"server count must be positive: {servers}")
+        return PFSError(f"server count must be positive: {servers}")
     if offset < 0:
-        raise PFSError(f"negative file offset: {offset}")
-    if size <= 0:
-        raise PFSError(f"request size must be positive: {size}")
+        return PFSError(f"negative file offset: {offset}")
+    return PFSError(f"request size must be positive: {size}")
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@dataclasses.dataclass(slots=True)
 class SubRequest:
     """One server's share of a parallel request.
 
     ``local_offset`` is relative to the file's region on that server
     (stripe slot ``k // M`` times stripe size, plus the intra-stripe
     offset); the file system adds the file's base address later.
+    Built once per request fragment and never mutated.
     """
 
     server: int
@@ -57,7 +62,8 @@ def split_request(
     slots on one server are not contiguous locally unless M == 1, so
     merging only happens for M == 1).
     """
-    _validate(offset, size, stripe, servers)
+    if offset < 0 or size <= 0 or stripe <= 0 or servers <= 0:
+        raise _invalid(offset, size, stripe, servers)
     subs: list[SubRequest] = []
     pos = offset
     end = offset + size
@@ -118,7 +124,8 @@ def coalesce_subrequests(subs: list[SubRequest]) -> list[SubRequest]:
 
 def involved_servers(offset: int, size: int, stripe: int, servers: int) -> int:
     """Actual number of distinct servers touched by the request."""
-    _validate(offset, size, stripe, servers)
+    if offset < 0 or size <= 0 or stripe <= 0 or servers <= 0:
+        raise _invalid(offset, size, stripe, servers)
     first = offset // stripe
     last = (offset + size - 1) // stripe
     return min(last - first + 1, servers)
@@ -133,7 +140,8 @@ def involved_servers_paper(
     request ends exactly on a stripe boundary; the cost model uses this
     form to stay faithful to the paper.
     """
-    _validate(offset, size, stripe, servers)
+    if offset < 0 or size <= 0 or stripe <= 0 or servers <= 0:
+        raise _invalid(offset, size, stripe, servers)
     begin = offset // stripe
     end = (offset + size) // stripe
     m = end - begin + 1
@@ -159,7 +167,8 @@ def max_subrequest_paper(
     ``delta = E - B``, beginning fragment ``b = str - f % str`` and
     ending fragment ``e = (f + r) % str``.
     """
-    _validate(offset, size, stripe, servers)
+    if offset < 0 or size <= 0 or stripe <= 0 or servers <= 0:
+        raise _invalid(offset, size, stripe, servers)
     f, r, m = offset, size, servers
     begin = f // stripe
     end = (f + r) // stripe

@@ -114,7 +114,6 @@ class Simulator:
         self._event_limit = _EVENT_POOL_LIMIT if pooling else 0
         self._seq = 0
         self._next_pid = 0
-        self._active_process: Process | None = None
         #: ``(time, seq, event)`` tuples handed to the timed queue —
         #: one per heap push.  Allocation receipts read this to report
         #: tuple churn honestly.
@@ -713,19 +712,15 @@ class Simulator:
             if proc._triggered:
                 continue  # killed while waiting; stale wakeup
             proc._waiting_on = None
-            self._active_process = proc
             try:
                 target = proc.body.send(value)
             except StopIteration as stop:
-                self._active_process = None
                 proc._presume = None
                 proc.succeed(stop.value)
                 continue
             except BaseException as exc:  # noqa: BLE001 - fail the process
-                self._active_process = None
                 proc._fail_with(exc)
                 continue
-            self._active_process = None
             proc._started = True
             if target.__class__ is Timeout or isinstance(target, Event):
                 if target.sim is self:

@@ -110,7 +110,6 @@ class Process(Event):
             return
         self._waiting_on = None
         sim = self.sim
-        sim._active_process = self
         try:
             if event._exc is None:
                 # The first resume is the bootstrap event, whose value
@@ -125,8 +124,6 @@ class Process(Event):
         except BaseException as exc:  # noqa: BLE001 - propagate as failure
             self._fail_with(exc)
             return
-        finally:
-            sim._active_process = None
         self._started = True
         if isinstance(target, Event) and target.sim is sim:
             self._waiting_on = target
@@ -149,7 +146,6 @@ class Process(Event):
 
     def _throw_in(self, exc: BaseException) -> None:
         """Inject an exception into the generator right now."""
-        self.sim._active_process = self
         try:
             self.body.throw(exc)
         except StopIteration as stop:
@@ -163,8 +159,6 @@ class Process(Event):
             self._fail_with(
                 SimulationError(f"process {self.name} ignored injected exception")
             )
-        finally:
-            self.sim._active_process = None
 
     def _fail_with(self, exc: BaseException) -> None:
         """Record generator failure; escalate if nobody is joining us.

@@ -211,6 +211,14 @@ class Rebuilder:
             -1, "flush", extent.d_file, extent.d_offset, extent.length,
             name="rebuild_flush", component="rebuilder", cat="rebuilder",
         )
+        # Pinned while its bytes are in flight.  The periodic process
+        # and a foreground drain() can flush the same dirty extent at
+        # once; when the other flush lands first the extent turns
+        # clean, and without the pin an eviction could hand its cache
+        # range to other data before the copy below reads it, writing
+        # that data over the flushed range (caught by the consistency
+        # property suite).
+        extent.pins += 1
         try:
             yield from self.cpfs_client.read(
                 c_handle, extent.c_offset, extent.length,
@@ -222,6 +230,7 @@ class Rebuilder:
             )
         finally:
             ctx.finish()
+            extent.pins -= 1
         # The timed write minted a placeholder stamp; the authoritative
         # bytes are the cache extent's, captured *after* the I/O so a
         # foreground write racing the flush is not lost.
@@ -230,7 +239,9 @@ class Rebuilder:
         )
         if extent.dirty_epoch == epoch:
             self.dmt.set_dirty(extent, False)
-            # The now-clean extent is a fresh eviction candidate.
+        if not extent.dirty:
+            # Clean, and this flush's pin is gone: a fresh eviction
+            # candidate.
             self.space.invalidate_evictable()
         self.metrics.flushes += 1
         self.metrics.flushed_bytes += extent.length

@@ -107,6 +107,18 @@ operations = st.lists(
      ('write', 1, 3, 0)],
     capacity_blocks=8,
 ).via('discovered failure')  # zombie rebuilder movement across recover()
+@example(
+    ops=[('write', 34, 3, 1),
+     ('recover', 0, 0, 0),
+     ('drain', 0, 0, 0),
+     ('write', 4, 1, 1),
+     ('read', 4, 2, 1),
+     ('write', 0, 3, 1),
+     ('read', 40, 2, 0),
+     ('read', 1, 3, 0),
+     ('drain', 0, 0, 0)],
+    capacity_blocks=8,
+).via('discovered failure')  # extent evicted under a second in-flight flush
 def test_read_always_sees_latest_write(ops, capacity_blocks):
     cluster = small_cluster(capacity_blocks)
     mw = cluster.middleware

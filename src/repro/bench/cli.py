@@ -1,11 +1,15 @@
-"""CLI for the perf benchmark suite (``python -m repro bench``).
+"""CLI for the perf benchmark suite and receipts (``python -m repro bench``).
 
 Usage::
 
     python -m repro bench                      # run, print a table
     python -m repro bench --json               # also write BENCH_<rev>.json
+    python -m repro bench --scale 0.1 --repeat 5 \\
+        --check benchmarks/perf/BENCH_smoke_baseline.json   # CI smoke gate
+    python -m repro bench --receipt sweep \\
+        --json BENCH_sweep.json                # one receipt, gated exit
     python -m repro bench --scale 0.1 \\
-        --check benchmarks/perf/BENCH_baseline.json   # CI smoke gate
+        --alloc-check benchmarks/perf/BENCH_alloc.json      # CI alloc gate
 """
 
 from __future__ import annotations
@@ -13,31 +17,26 @@ from __future__ import annotations
 import argparse
 import json
 import platform
-import subprocess
 import sys
 
 from ..cliutil import add_jobs_arg
 from ..parallel import resolve_jobs
+from .receipts import (
+    DEFAULT_JOBS,
+    RECEIPTS,
+    check_allocs,
+    git_rev,
+    measure_allocs,
+    write_receipt,
+)
 from .suite import compare_to_baseline, run_suite, suite_names
-
-
-def _git_rev() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10, check=False,
-        )
-        rev = out.stdout.strip()
-        return rev if out.returncode == 0 and rev else "unknown"
-    except OSError:
-        return "unknown"
 
 
 def document(results, scale: float) -> dict:
     """The BENCH_<rev>.json document for a suite run."""
     return {
         "schema": 1,
-        "rev": _git_rev(),
+        "rev": git_rev(),
         "python": platform.python_version(),
         "machine": platform.machine(),
         "scale": scale,
@@ -49,7 +48,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro bench",
         description="Deterministic perf microbenchmarks "
-                    f"({', '.join(suite_names())}).",
+                    f"({', '.join(suite_names())}) and receipts.",
     )
     parser.add_argument("--scale", type=float, default=1.0,
                         help="problem-size multiplier (default 1.0)")
@@ -59,7 +58,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="override per-benchmark repeat count")
     parser.add_argument("--json", nargs="?", const="", default=None,
                         metavar="PATH",
-                        help="write BENCH_<rev>.json (or PATH if given)")
+                        help="write BENCH_<rev>.json, or with --receipt "
+                             "BENCH_<receipt>.json (or PATH if given)")
     parser.add_argument("--check", default=None, metavar="BASELINE",
                         help="compare against a baseline BENCH_*.json; "
                              "exit 1 on regression")
@@ -68,31 +68,18 @@ def main(argv: list[str] | None = None) -> int:
                              "(default 0.25)")
     parser.add_argument("--list", action="store_true",
                         help="list benchmark names and exit")
-    parser.add_argument("--parallel-receipt", default=None, metavar="PATH",
-                        help="measure the parallel sweep and one "
-                             "campaign's sub-request coalescing, write a "
-                             "BENCH_parallel.json receipt, and exit")
-    parser.add_argument("--sweep-receipt", default=None, metavar="PATH",
-                        help="measure the content-addressed sweep cache "
-                             "(cold vs warm) and work-stealing drain, "
-                             "write a BENCH_sweep.json receipt, and exit")
-    parser.add_argument("--streaming-receipt", default=None, metavar="PATH",
-                        help="measure streaming-telemetry overhead, "
-                             "write a BENCH_streaming.json receipt, "
-                             "and exit")
-    parser.add_argument("--alloc-receipt", default=None, metavar="PATH",
-                        help="measure allocations-per-event and pool "
-                             "behaviour, write a BENCH_alloc.json "
-                             "receipt, and exit")
+    parser.add_argument("--receipt", choices=sorted(RECEIPTS), default=None,
+                        help="measure one receipt, write it to --json "
+                             "(default BENCH_<receipt>.json) and exit 1 "
+                             "if a gated claim is unmet")
     parser.add_argument("--alloc-check", default=None, metavar="BASELINE",
                         help="fast counting-only pass vs a committed "
                              "BENCH_alloc.json; exit 1 if allocations "
                              "per event grew past --tolerance")
-    parser.add_argument("--capacity-receipt", default=None, metavar="PATH",
-                        help="run the 1024-4096 rank capacity sweep, "
-                             "write a BENCH_capacity.json receipt, "
-                             "and exit")
     add_jobs_arg(parser)
+    # Only the sweep receipt fans out; without --jobs it runs
+    # DEFAULT_JOBS wide.
+    parser.set_defaults(jobs=None)
     args = parser.parse_args(argv)
 
     if args.list:
@@ -100,44 +87,15 @@ def main(argv: list[str] | None = None) -> int:
             print(name)
         return 0
 
-    if args.parallel_receipt is not None:
-        from .parallel_receipt import write_receipt
-
-        # Without --jobs each receipt keeps its own default width.
+    if args.receipt is not None:
         return write_receipt(
-            args.parallel_receipt,
-            jobs=4 if args.jobs == 1 else resolve_jobs(args.jobs),
-            progress=lambda msg: print(msg, flush=True),
-        )
-
-    if args.sweep_receipt is not None:
-        from .sweep_receipt import write_receipt as write_sweep
-
-        return write_sweep(
-            args.sweep_receipt,
-            jobs=2 if args.jobs == 1 else resolve_jobs(args.jobs),
-            progress=lambda msg: print(msg, flush=True),
-        )
-
-    if args.streaming_receipt is not None:
-        from .streaming_receipt import write_receipt as write_streaming
-
-        return write_streaming(
-            args.streaming_receipt, scale=args.scale,
-            progress=lambda msg: print(msg, flush=True),
-        )
-
-    if args.alloc_receipt is not None:
-        from .alloc_receipt import write_receipt as write_alloc
-
-        return write_alloc(
-            args.alloc_receipt, scale=args.scale, repeats=args.repeat,
+            args.receipt, args.json or f"BENCH_{args.receipt}.json",
+            scale=args.scale, repeats=args.repeat,
+            jobs=DEFAULT_JOBS if args.jobs is None else resolve_jobs(args.jobs),
             progress=lambda msg: print(msg, flush=True),
         )
 
     if args.alloc_check is not None:
-        from .alloc_receipt import check_allocs, measure_allocs
-
         with open(args.alloc_check) as fh:
             baseline = json.load(fh)
         measured = measure_allocs(scale=args.scale)
@@ -155,22 +113,13 @@ def main(argv: list[str] | None = None) -> int:
               f"(tolerance {args.tolerance * 100:.0f}%)")
         return 0
 
-    if args.capacity_receipt is not None:
-        from .capacity_receipt import write_receipt as write_capacity
-
-        return write_capacity(
-            args.capacity_receipt, scale=args.scale,
-            progress=lambda msg: print(msg, flush=True),
-        )
-
     results = run_suite(
         scale=args.scale, only=args.only, repeats=args.repeat,
         progress=lambda msg: print(msg, flush=True),
-        jobs=args.jobs,
     )
 
     if args.json is not None:
-        path = args.json or f"BENCH_{_git_rev()}.json"
+        path = args.json or f"BENCH_{git_rev()}.json"
         with open(path, "w") as fh:
             json.dump(document(results, args.scale), fh, indent=2)
             fh.write("\n")

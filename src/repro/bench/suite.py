@@ -160,12 +160,13 @@ def _spread_times(n: int, span: float, salt: int = 0) -> list[float]:
 
 @bench("schedule_many")
 def _schedule_many(scale: float):
-    """Round-based bulk arming: coalesced PFS fan-out shape.
+    """Round-based bulk arming: large pending timer populations.
 
     Twelve rounds of one ``schedule_many`` burst (16k timers over two
-    simulated seconds) drained to empty — the arming pattern of
-    coalesced PFS rounds and pre-armed sampler tick chains, dominated
-    by bulk-insert plus drain rather than steady-state interleaving.
+    simulated seconds) drained to empty, dominated by bulk-insert plus
+    drain rather than steady-state interleaving.  The streaming
+    sampler's pre-armed tick chains are the engine's only
+    ``schedule_many`` caller, at 32 ticks a batch.
     """
     from ..sim import Simulator
 
@@ -399,30 +400,12 @@ def run_suite(
     only: typing.Sequence[str] | None = None,
     repeats: int | None = None,
     progress: typing.Callable[[str], None] | None = None,
-    jobs: int | None = None,
 ) -> list[BenchResult]:
-    """Run (a subset of) the suite; returns one result per benchmark.
-
-    ``jobs > 1`` distributes benchmark names across a worker pool
-    (suite order preserved).  Concurrent benchmarks compete for cores,
-    so parallel wall times are for quick turnaround, not for committing
-    as baselines — measure baselines serially.
-    """
+    """Run (a subset of) the suite; returns one result per benchmark."""
     names = list(only) if only else suite_names()
     unknown = [n for n in names if n not in SUITE]
     if unknown:
         raise ValueError(f"unknown benchmarks {unknown}; have {suite_names()}")
-    if jobs is not None and jobs != 1 and len(names) > 1:
-        from ..parallel import steal_fanout
-        from ..parallel.workers import run_bench_task
-
-        results, _ = steal_fanout(
-            [(name, (name, scale, repeats)) for name in names],
-            run_bench_task,
-            jobs=jobs,
-            progress=progress,
-        )
-        return results
     results = []
     for name in names:
         builder, default_repeats = SUITE[name]

@@ -29,7 +29,7 @@ from ..errors import ConfigError
 from ..intervals import IntervalMap
 from ..mpiio.api import DirectIO, FileHandle, IOLayer
 from ..pfs import PFS, IOResult, PFSClient
-from ..pfs.content import next_stamp
+from ..pfs.content import merge_stamp_segments, next_stamp
 from ..sim.resources import PRIORITY_NORMAL
 from ..units import parse_size
 from .cost_model import CostModel
@@ -191,19 +191,8 @@ class CARLPlacementLayer(IOLayer):
 
         merged = []
         for res in results:
-            merged.extend(res.segments)
-        merged.sort()
-        coalesced: list = []
-        for seg in merged:
-            if (
-                coalesced
-                and coalesced[-1][1] == seg[0]
-                and coalesced[-1][2] == seg[2]
-            ):
-                coalesced[-1] = (coalesced[-1][0], seg[1], seg[2])
-            else:
-                coalesced.append(seg)
-        merged = coalesced
+            merged += res.segments
+        merged = merge_stamp_segments(merged)
         result = IOResult(
             op=op, path=handle.path, offset=offset, size=size,
             start_time=start, end_time=self.sim.now,

@@ -29,6 +29,7 @@ from ..devices.base import OP_READ, OP_WRITE
 from ..errors import ConfigError
 from ..mpiio.api import FileHandle, IOLayer
 from ..pfs import IOResult
+from ..pfs.content import merge_stamp_segments
 from ..sim.resources import PRIORITY_NORMAL
 from ..units import parse_size
 
@@ -199,14 +200,10 @@ class MemoryCacheLayer(IOLayer):
 
     @staticmethod
     def _slice_segments(blocks: dict, offset: int, size: int):
-        merged: list = []
+        clipped = []
         for block in sorted(blocks):
             for s, e, v in blocks[block]:
                 s2, e2 = max(s, offset), min(e, offset + size)
-                if s2 >= e2:
-                    continue
-                if merged and merged[-1][1] == s2 and merged[-1][2] == v:
-                    merged[-1] = (merged[-1][0], e2, v)
-                else:
-                    merged.append((s2, e2, v))
-        return merged
+                if s2 < e2:
+                    clipped.append((s2, e2, v))
+        return merge_stamp_segments(clipped)

@@ -31,7 +31,7 @@ from ..kvstore import HashDB, LockManager
 from ..mpiio.api import DirectIO, FileHandle, IOLayer
 from ..obs import NULL_CONTEXT
 from ..pfs import PFS, IOResult, PFSClient
-from ..pfs.content import next_stamp
+from ..pfs.content import merge_stamp_segments, next_stamp
 from ..sim.resources import PRIORITY_NORMAL
 from .cost_model import CostModel
 from .identifier import DataIdentifier
@@ -332,16 +332,7 @@ class S4DCacheMiddleware(IOLayer):
                 merged += [(s + shift, e + shift, v) for s, e, v in res.segments]
             else:
                 merged += res.segments
-        merged.sort()
-        # Coalesce adjacent segments with the same stamp for stable
-        # comparisons against plain PFS reads.
-        out = []
-        for seg in merged:
-            if out and out[-1][1] == seg[0] and out[-1][2] == seg[2]:
-                out[-1] = (out[-1][0], seg[1], seg[2])
-            else:
-                out.append(seg)
-        return out
+        return merge_stamp_segments(merged)
 
     # -- IOLayer: close / finalize ----------------------------------------------
     def close(self, rank: int, handle: FileHandle):

@@ -15,7 +15,6 @@ import dataclasses
 import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover
-    from ..bench.suite import BenchResult
     from ..core.metrics import CacheMetrics
 
 
@@ -48,11 +47,3 @@ def run_compare_task(payload) -> CompareSummary:
         read_bandwidth=result.read_bandwidth,
         metrics=result.metrics if s4d else None,
     )
-
-
-def run_bench_task(payload) -> "BenchResult":
-    """Worker: run one named benchmark at the given scale/repeats."""
-    from ..bench.suite import run_suite
-
-    name, scale, repeats = payload
-    return run_suite(scale=scale, only=[name], repeats=repeats)[0]

@@ -11,6 +11,7 @@ Tests assert read-after-write visibility through every redirection path
 from __future__ import annotations
 
 import itertools
+import typing
 
 from ..intervals import IntervalMap
 
@@ -23,6 +24,25 @@ _stamp_counter = itertools.count(1)
 def next_stamp() -> int:
     """Globally unique, monotonically increasing write stamp."""
     return next(_stamp_counter)
+
+
+def merge_stamp_segments(
+    segments: typing.Iterable[tuple[int, int, int | None]],
+) -> list[tuple[int, int, int | None]]:
+    """Sort disjoint ``(start, end, stamp)`` segments and join the
+    adjacent ones that carry the same stamp.
+
+    A read assembled from several pieces (redirected steps, placed
+    regions, cached blocks) then compares equal to a plain PFS read of
+    the same bytes.
+    """
+    merged: list[tuple[int, int, int | None]] = []
+    for seg in sorted(segments):
+        if merged and merged[-1][1] == seg[0] and merged[-1][2] == seg[2]:
+            merged[-1] = (merged[-1][0], seg[1], seg[2])
+        else:
+            merged.append(seg)
+    return merged
 
 
 class FileContent:

@@ -215,9 +215,8 @@ class Simulator:
         ``schedule_many(delays)`` is equivalent to
         ``[sim.timeout(d, value) for d in delays]`` — same pooling, same
         sequence numbers, bit-identical schedule — but hoists the
-        per-call attribute traffic out of the loop, which matters for
-        coalesced PFS rounds and sampler ticks that arm dozens of
-        timers at once.
+        per-call attribute traffic out of the loop.  Its one caller is
+        the streaming sampler, which pre-arms its ticks 32 at a time.
 
         ``schedule_many(at=times)`` schedules at *absolute* simulated
         times instead (each >= now).  Callers that pre-arm a cumulative

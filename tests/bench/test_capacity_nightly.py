@@ -11,23 +11,19 @@ import json
 
 import pytest
 
-from repro.bench.capacity_receipt import (
-    FLATNESS_LIMIT,
-    RANKS,
-    TIME_FLATNESS_LIMIT,
-    write_receipt,
-)
+from repro.bench import cli
+from repro.bench.receipts import FLATNESS_LIMIT, RANKS, TIME_FLATNESS_LIMIT
 
 pytestmark = pytest.mark.capacity
 
 
 def test_capacity_receipt_end_to_end(tmp_path):
     path = tmp_path / "BENCH_capacity.json"
-    rc = write_receipt(str(path))
+    rc = cli.main(["--receipt", "capacity", "--json", str(path)])
     receipt = json.loads(path.read_text())
 
     assert rc == 0, receipt["claims"]
-    points = receipt["points"]
+    points = receipt["measurements"]["points"]
     assert [p["ranks"] for p in points] == list(RANKS)
     assert points[-1]["ranks"] >= 1024
     for point in points:

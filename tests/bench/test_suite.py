@@ -141,16 +141,3 @@ def test_fig6_e2e_builder_shape():
     assert mode == "wall" and unit == "requests" and units > 0
     assert callable(build)
 
-
-def test_parallel_suite_matches_serial_shape():
-    """--jobs distributes benchmarks but preserves suite order and the
-    deterministic fields (name/units/unit/mode); wall times may differ."""
-    names = ["intervalmap_ops", "dmt_ops"]
-    serial = run_suite(scale=0.01, only=names, repeats=1)
-    parallel = run_suite(scale=0.01, only=names, repeats=1, jobs=2)
-    assert [r.name for r in parallel] == [r.name for r in serial] == names
-    for s, p in zip(serial, parallel):
-        assert (p.units, p.unit, p.mode, p.repeats) == (
-            s.units, s.unit, s.mode, s.repeats
-        )
-        assert p.wall_s > 0

@@ -1,6 +1,6 @@
 """Tests for write-stamp content tracking."""
 
-from repro.pfs.content import FileContent, next_stamp
+from repro.pfs.content import FileContent, merge_stamp_segments, next_stamp
 
 
 def test_stamps_are_unique_and_increasing():
@@ -67,3 +67,14 @@ def test_copy_range_with_holes_clears_destination():
         (1020, 1030, fresh),
         (1030, 1100, None),
     ]
+
+
+def test_merge_stamp_segments_sorts_and_joins_equal_neighbours():
+    # Pieces of one read, out of order: adjacent pieces with one stamp
+    # (unwritten included) join; a gap or a new stamp starts a segment.
+    pieces = [(30, 40, 7), (0, 10, None), (20, 30, 7), (10, 20, None),
+              (40, 50, 8), (60, 70, 8)]
+    assert merge_stamp_segments(pieces) == [
+        (0, 20, None), (20, 40, 7), (40, 50, 8), (60, 70, 8),
+    ]
+    assert merge_stamp_segments([]) == []

@@ -129,27 +129,26 @@ def test_negative_jobs_rejected_at_parse_time(argv, runner, monkeypatch):
 
 
 @pytest.mark.parametrize("jobs_flags, expected", [
-    ([], {"parallel": 4, "sweep": 2}),
-    (["--jobs", "0"], {"parallel": 3, "sweep": 3}),
-    (["--jobs", "2"], {"parallel": 2, "sweep": 2}),
+    ([], 2),
+    (["--jobs", "0"], 3),
+    (["--jobs", "1"], 1),
 ], ids=["default", "all-cores", "explicit"])
 def test_bench_receipts_resolve_jobs(jobs_flags, expected, tmp_path,
                                      monkeypatch):
-    """--jobs 0 means all cores for the receipts too; without --jobs
-    each receipt keeps its own default width."""
+    """--jobs 0 means all cores for the sweep receipt too; without
+    --jobs it runs two workers wide."""
     monkeypatch.setattr("repro.parallel.stealing.os_cpu_count", lambda: 3)
-    seen = {}
-    for name in expected:
-        def capture(path, jobs, progress=None, name=name):
-            seen[name] = jobs
-            return 0
+    seen = []
 
-        monkeypatch.setattr(f"repro.bench.{name}_receipt.write_receipt",
-                            capture)
-    for name in expected:
-        out = str(tmp_path / f"{name}.json")
-        assert main(["bench", f"--{name}-receipt", out, *jobs_flags]) == 0
-    assert seen == expected
+    def capture(name, path, scale, repeats, jobs, progress):
+        seen.append((name, jobs))
+        return 0
+
+    monkeypatch.setattr("repro.bench.cli.write_receipt", capture)
+    out = str(tmp_path / "sweep.json")
+    assert main(["bench", "--receipt", "sweep", "--json", out,
+                 *jobs_flags]) == 0
+    assert seen == [("sweep", expected)]
 
 
 def test_experiments_forwarding(capsys):

@@ -71,13 +71,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--receipt", choices=sorted(RECEIPTS), default=None,
                         help="measure one receipt, write it to --json "
                              "(default BENCH_<receipt>.json) and exit 1 "
-                             "if a gated claim is unmet")
+                             "if a gated claim is unmet; --jobs sets the "
+                             f"sweep receipt's width (default {DEFAULT_JOBS})")
     parser.add_argument("--alloc-check", default=None, metavar="BASELINE",
                         help="fast counting-only pass vs a committed "
                              "BENCH_alloc.json; exit 1 if allocations "
                              "per event grew past --tolerance")
     add_jobs_arg(parser)
-    # Only the sweep receipt fans out; without --jobs it runs
+    # Only the sweep receipt fans out (the suite always runs serially,
+    # so its wall times stay fit for baselines); without --jobs it runs
     # DEFAULT_JOBS wide.
     parser.set_defaults(jobs=None)
     args = parser.parse_args(argv)
@@ -88,10 +90,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.receipt is not None:
+        jobs = DEFAULT_JOBS if args.jobs is None else resolve_jobs(args.jobs)
         return write_receipt(
             args.receipt, args.json or f"BENCH_{args.receipt}.json",
-            scale=args.scale, repeats=args.repeat,
-            jobs=DEFAULT_JOBS if args.jobs is None else resolve_jobs(args.jobs),
+            scale=args.scale, repeats=args.repeat, jobs=jobs,
             progress=lambda msg: print(msg, flush=True),
         )
 

@@ -176,6 +176,36 @@ def fingerprint_digest(result: ExperimentResult) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+#: The golden determinism points, ``(exp_id, scale)``: every experiment,
+#: so every campaign, at the smallest scale that still exercises the
+#: cache as its default scale does (each admission, eviction, flush and
+#: fetch counter that is nonzero at the default scale is nonzero here).
+#: ``tests/experiments/golden_results.json`` pins each point's
+#: fingerprint, and the sweep receipt drains the same points.
+GOLDEN_POINTS: list[tuple[str, float]] = [
+    ("fig1", 0.05),
+    ("fig6a", 0.05),
+    ("fig6b", 0.05),
+    ("fig7a", 0.05),
+    ("fig7b", 0.05),
+    ("fig8a", 0.05),
+    ("fig8b", 0.05),
+    ("fig9a", 0.1),
+    ("fig9b", 0.1),
+    ("fig10a", 0.05),
+    ("fig10b", 0.05),
+    ("fig11", 0.05),
+    ("table3", 0.05),
+    ("table4", 0.05),
+    ("metadata", 0.05),
+    ("ext_carl", 0.05),
+    ("ext_memcache", 0.05),
+    ("ablation_policy", 0.05),
+    ("ablation_rebuilder", 0.05),
+    ("ablation_costmodel", 0.05),
+]
+
+
 REGISTRY: dict[str, Experiment] = {}
 
 

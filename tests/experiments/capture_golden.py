@@ -18,18 +18,8 @@ import time
 
 from repro.experiments import harness
 import repro.experiments  # noqa: F401  - registers all drivers
+from repro.experiments.harness import GOLDEN_POINTS
 from repro.parallel.experiments import campaign_tasks
-
-#: (exp_id, scale) pairs covered by the gate.  Scales are chosen so the
-#: whole fixture reruns in well under a minute while still exercising
-#: admission, eviction, flushing and lazy fetches.
-GOLDEN_POINTS = [
-    ("fig6a", 0.05),
-    ("fig6b", 0.05),
-    ("fig9a", 0.1),
-    ("fig9b", 0.1),
-    ("table3", 0.05),
-]
 
 FIXTURE = pathlib.Path(__file__).parent / "golden_results.json"
 

@@ -10,7 +10,7 @@ end to end on a discrete-event simulated cluster:
 - :mod:`repro.network` — GigE-like link contention model.
 - :mod:`repro.pfs` — PVFS2-like striped parallel file system.
 - :mod:`repro.kvstore` — Berkeley-DB-like persistent hash KV store.
-- :mod:`repro.mpiio` — MPI-IO middleware (ranks, File API, collective I/O).
+- :mod:`repro.mpiio` — MPI-IO middleware (ranks, File API, barriers).
 - :mod:`repro.core` — the S4D-Cache contribution: cost model, CDT/DMT,
   Data Identifier, Redirector (Algorithm 1), Rebuilder, policies.
 - :mod:`repro.workloads` — IOR / HPIO / MPI-Tile-IO generators.

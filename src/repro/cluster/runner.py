@@ -19,7 +19,6 @@ import typing
 from ..errors import ExperimentError
 from ..mpiio import MPIJob
 from ..mpiio.job import RankStats
-from ..units import MiB
 from ..workloads import Workload
 from .builder import Cluster, build_cluster
 from .spec import ClusterSpec
@@ -38,10 +37,6 @@ class PhaseResult:
     def bandwidth(self) -> float:
         """Aggregate bytes/second (the paper's MB/s axis)."""
         return self.bytes_moved / self.duration if self.duration > 0 else 0.0
-
-    @property
-    def bandwidth_mb(self) -> float:
-        return self.bandwidth / MiB
 
 
 @dataclasses.dataclass

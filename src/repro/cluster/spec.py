@@ -8,7 +8,7 @@ from ..core.policy import make_policy
 from ..devices import HDDSpec, SSDSpec
 from ..errors import ConfigError
 from ..network import NetworkSpec
-from ..units import GiB, KiB, parse_size
+from ..units import KiB, parse_size
 
 __all__ = ["ClusterSpec"]
 
@@ -80,18 +80,6 @@ class ClusterSpec:
     def paper_testbed(cls, **overrides) -> "ClusterSpec":
         """The §V.A configuration (with any keyword overrides)."""
         return cls(**overrides)
-
-    @classmethod
-    def scaled_testbed(cls, scale: float = 0.25, **overrides) -> "ClusterSpec":
-        """A smaller-device variant for fast tests and CI benchmarks.
-
-        Device capacities shrink; counts and speeds stay the paper's.
-        """
-        hdd = HDDSpec(capacity_bytes=int(250 * GiB * scale))
-        ssd = SSDSpec(capacity_bytes=int(100 * GiB * scale))
-        merged = dict(hdd=hdd, ssd=ssd)
-        merged.update(overrides)
-        return cls(**merged)
 
     def capacity_for(self, data_bytes: int | str) -> int:
         """The cache capacity to use for a given workload size."""

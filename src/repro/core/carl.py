@@ -57,9 +57,6 @@ class RegionPlan:
             regions.add(region)
             self.placed_bytes += self.region_size
 
-    def is_placed(self, path: str, region: int) -> bool:
-        return region in self.placed.get(path, ())
-
     def regions_for(self, path: str) -> set[int]:
         return set(self.placed.get(path, ()))
 
@@ -140,13 +137,6 @@ class CARLPlacementLayer(IOLayer):
         self.requests_to_hdd = 0
 
     # -- plumbing ---------------------------------------------------------
-    @property
-    def fabric(self):
-        return self.direct.fabric
-
-    def node_for(self, rank: int) -> str:
-        return self.direct.node_for(rank)
-
     @staticmethod
     def ssd_path(path: str) -> str:
         return f"{path}.carl"

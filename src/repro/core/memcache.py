@@ -92,13 +92,6 @@ class MemoryCacheLayer(IOLayer):
         self._nodes: dict[str, _NodeCache] = {}
 
     # -- plumbing (delegate to the wrapped layer) -------------------------
-    @property
-    def fabric(self):
-        return self.under.fabric
-
-    def node_for(self, rank: int) -> str:
-        return self.under.node_for(rank)
-
     def _cache_for(self, rank: int) -> _NodeCache:
         node = self.under.node_for(rank)
         cache = self._nodes.get(node)

@@ -124,15 +124,6 @@ class S4DCacheMiddleware(IOLayer):
         self.stream = None
 
     # -- plumbing ---------------------------------------------------------
-    @property
-    def fabric(self):
-        return self.direct.fabric
-
-    @property
-    def pfs(self):
-        """The original PFS (so tools written for DirectIO work)."""
-        return self.direct.pfs
-
     def node_for(self, rank: int) -> str:
         return self.direct.node_for(rank)
 

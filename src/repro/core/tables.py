@@ -286,11 +286,6 @@ class CDT:
             spent += entry.length
         return out
 
-    def entries_for(self, d_file: str) -> list[CDTEntry]:
-        """All entries for one file, in admission order (a scan: only
-        diagnostics ask, so no per-file index is kept for it)."""
-        return [e for e in self._entries.values() if e.d_file == d_file]
-
 
 @dataclasses.dataclass(slots=True)
 class DMTExtent:
@@ -408,12 +403,6 @@ class DMT:
     def fully_mapped(self, d_file: str, offset: int, size: int) -> bool:
         index = self._by_file.get(d_file)
         return index is not None and index.covered(offset, offset + size)
-
-    def extents_for(self, d_file: str) -> list[DMTExtent]:
-        index = self._by_file.get(d_file)
-        if index is None:
-            return []
-        return [extent for _, _, extent in index.spans(0, _SPAN_ALL)]
 
     def all_extents(self) -> list[DMTExtent]:
         """Every extent: files in first-mapping order, offsets within."""

@@ -59,20 +59,12 @@ class KVStoreClosed(KVStoreError):
     """Operation attempted on a closed store."""
 
 
-class LockTimeout(KVStoreError):
-    """A lock could not be acquired within the configured budget."""
-
-
 class MPIIOError(ReproError):
     """MPI-IO middleware usage error (bad handle, closed file, ...)."""
 
 
 class CacheError(ReproError):
     """S4D-Cache internal error (space accounting, mapping corruption)."""
-
-
-class CacheSpaceExhausted(CacheError):
-    """No free and no clean-evictable space is available in CServers."""
 
 
 class WorkloadError(ReproError):

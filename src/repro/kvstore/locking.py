@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import typing
 
-from ..errors import KVStoreError, LockTimeout
+from ..errors import KVStoreError
 from ..sim import Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -104,7 +104,7 @@ class LockManager:
             del self._held[token.key]
 
     def cancel(self, key: str, event: Event) -> None:
-        """Withdraw a pending acquire (e.g. after a timeout)."""
+        """Withdraw a pending acquire (a killed waiter's)."""
         queue = self._waiters.get(key, [])
         for i, (waiting_event, _) in enumerate(queue):
             if waiting_event is event:
@@ -119,48 +119,3 @@ class LockManager:
 
     def queue_length(self, key: str) -> int:
         return len(self._waiters.get(key, []))
-
-    def with_lock(self, key: str, body, owner: str = ""):
-        """Run generator ``body()`` while holding ``key``'s lock.
-
-        Usage: ``result = yield from locks.with_lock(key, critical)``.
-        """
-        token = yield self.acquire(key, owner)
-        try:
-            result = yield from body()
-        finally:
-            self.release(token)
-        return result
-
-
-class TimeoutLock:
-    """Helper wrapping LockManager.acquire with a deadline.
-
-    Raises :class:`~repro.errors.LockTimeout` inside the waiting
-    process if the lock is not granted in time.
-    """
-
-    def __init__(self, manager: LockManager, budget: float):
-        if budget <= 0:
-            raise KVStoreError("lock timeout budget must be positive")
-        self.manager = manager
-        self.budget = budget
-
-    def acquire(self, key: str, owner: str = ""):
-        """Process generator returning the token or raising LockTimeout."""
-        sim = self.manager.sim
-        # No try/finally here: on timeout the grant is either handed
-        # back (granted same-instant) or cancelled below, and on grant
-        # the *caller* owns the token and must release it.
-        lock_event = self.manager.acquire(key, owner)  # simlint: disable=SIM001
-        deadline = sim.timeout(self.budget)
-        index, value = yield sim.any_of([lock_event, deadline])
-        if index == 0:
-            return value
-        if lock_event.triggered:
-            # Granted in the same instant the deadline fired: we own it
-            # after all, so hand it back rather than leak the lock.
-            self.manager.release(lock_event.value)
-        else:
-            self.manager.cancel(key, lock_event)
-        raise LockTimeout(f"lock {key!r} not granted within {self.budget}s")

@@ -2,40 +2,26 @@
 
 The paper implements S4D-Cache "as an augmented module to [the] MPI-IO
 library" (§III.A): application processes call MPI_File_open/read/write/
-seek/close and the cache logic intercepts underneath.  This package
-provides that layer for the simulated cluster:
+seek/close and the cache logic intercepts underneath.  The evaluation
+(§V) issues independent requests only, and this package provides that
+layer for the simulated cluster:
 
 - :mod:`repro.mpiio.api` — the :class:`IOLayer` interception point,
   the pass-through :class:`DirectIO` implementation (stock MPI-IO over
   the OPFS), and per-rank :class:`MPIFile` handles with MPI-IO
   open/read/write/seek/close semantics;
 - :mod:`repro.mpiio.job` — MPI ranks as simulated processes, barriers,
-  and the job runner;
-- :mod:`repro.mpiio.collective` — two-phase collective I/O;
-- :mod:`repro.mpiio.datasieve` — data sieving for noncontiguous access.
+  and the job runner.
 """
 
 from .api import DirectIO, FileHandle, IOLayer, MPIFile
-from .collective import collective_read, collective_write
-from .datasieve import sieve_read, sieve_write
 from .job import MPIJob, RankContext
-from .views import FileView, Request, ViewedFile, iread_at, iwrite_at, waitall
 
 __all__ = [
     "DirectIO",
     "FileHandle",
-    "FileView",
     "IOLayer",
     "MPIFile",
     "MPIJob",
     "RankContext",
-    "Request",
-    "ViewedFile",
-    "collective_read",
-    "collective_write",
-    "iread_at",
-    "iwrite_at",
-    "sieve_read",
-    "sieve_write",
-    "waitall",
 ]

@@ -123,18 +123,3 @@ class Fabric:
         self.total_bytes += size
         return self.sim.now
 
-    def request_response(
-        self,
-        client: str,
-        server: str,
-        request_size: int,
-        response_size: int,
-        priority: int = PRIORITY_NORMAL,
-        ctx: "TraceContext | None" = None,
-    ):
-        """RPC helper: request payload one way, response the other."""
-        yield from self.transfer(client, server, request_size, priority,
-                                 ctx=ctx)
-        yield from self.transfer(server, client, response_size, priority,
-                                 ctx=ctx)
-        return self.sim.now

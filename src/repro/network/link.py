@@ -31,12 +31,6 @@ class Link:
         self.bytes_sent = 0
         self.bytes_received = 0
 
-    def transfer_time(self, size: int) -> float:
-        """Wire time for ``size`` bytes at full link rate."""
-        if size < 0:
-            raise NetworkError(f"negative transfer size: {size}")
-        return size / self.bandwidth
-
     def telemetry(self) -> dict:
         """Registry hook: this NIC's counters and live queue state."""
         return {

@@ -158,10 +158,6 @@ class Tracer:
         """Spans with both endpoints recorded, in begin order."""
         return [s for s in self.spans if s.end is not None]
 
-    def roots(self) -> list[Span]:
-        """Request root spans, in request order."""
-        return [s for s in self.spans if s.parent_id is None]
-
     def by_id(self) -> dict[int, Span]:
         index = {s.span_id: s for s in self.spans}
         index.update({s.span_id: s for s in self.instants})

@@ -61,9 +61,6 @@ class FileContent:
         """Stamps covering the range: (seg_start, seg_end, stamp|None)."""
         return self._map.lookup(offset, offset + size)
 
-    def stamp_at(self, offset: int) -> int | None:
-        return self._map.value_at(offset)
-
     def written_bytes(self) -> int:
         return self._map.total_bytes
 

@@ -17,14 +17,13 @@ Public surface::
 """
 
 from .core import Simulator
-from .events import AllOf, AnyOf, Event, Timeout
+from .events import AllOf, Event, Timeout
 from .process import Process
 from .resources import PriorityResource, Store
 from .rng import RandomStreams
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Event",
     "PriorityResource",
     "Process",

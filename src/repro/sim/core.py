@@ -62,7 +62,7 @@ from collections import deque
 
 from ..errors import SimulationError
 from . import events as _events
-from .events import AllOf, AnyOf, Event, Timeout, _Frame
+from .events import AllOf, Event, Timeout, _Frame
 from .process import Process, ProcessBody
 from .rng import RandomStreams
 
@@ -281,10 +281,6 @@ class Simulator:
     def all_of(self, events: typing.Sequence[Event]) -> AllOf:
         """Wait for every event in ``events``."""
         return AllOf(self, events)
-
-    def any_of(self, events: typing.Sequence[Event]) -> AnyOf:
-        """Wait for the first event in ``events``."""
-        return AnyOf(self, events)
 
     def spawn(self, body: ProcessBody, name: str = "") -> Process:
         """Start a new process from a generator; returns the Process."""
@@ -660,8 +656,8 @@ class Simulator:
                     fpool.append(event)
             elif cls._process is generic_process:
                 # Inlined Event._process(): covers plain events, grants,
-                # conditions and process completions — every class that
-                # does not override the hook.
+                # AllOf and process completions — every class that does
+                # not override the hook.
                 event._processed = True
                 cb0 = event._cb0
                 if cb0 is not None:

@@ -5,8 +5,8 @@ Processes wait on events by yielding them; the simulator resumes the
 process with the event's value once it has been *triggered* and then
 *processed* (its callbacks run).
 
-Composite events :class:`AllOf` and :class:`AnyOf` let a process wait on
-several events at once.
+The composite event :class:`AllOf` lets a process wait on several
+events at once.
 
 Hot-path notes (the engine processes hundreds of thousands of events
 per simulated second of an S4D run):
@@ -25,8 +25,8 @@ per simulated second of an S4D run):
   ``sim.event()`` events, and resource grants (recycled by
   ``release``).  Holding a yielded event across later yields and
   re-reading it is outside that contract; composite waits via
-  ``any_of``/``all_of`` are safe — their watcher callbacks disqualify
-  the event from pooling.  Recycling clears the payload (``_value``)
+  ``all_of`` are safe — their watcher callbacks disqualify the event
+  from pooling.  Recycling clears the payload (``_value``)
   so a pooled object can never leak state into its next life, and
   ``Simulator(pooling=False)`` turns every pool off for differential
   testing.
@@ -164,8 +164,8 @@ class Event:
         back (a resource slot, a lock, a store item) override it: a
         queued claim leaves its queue, and one that was handed over but
         not yet delivered passes to the next waiter.  Plain events,
-        timeouts, processes and conditions have nothing to withdraw;
-        a condition's children may be shared or already delivered to
+        timeouts, processes and ``AllOf`` have nothing to withdraw;
+        an ``AllOf``'s children may be shared or already delivered to
         it.
         """
 
@@ -221,8 +221,11 @@ class _Frame(Event):
     __slots__ = ()
 
 
-class _Condition(Event):
-    """Base for AllOf/AnyOf: waits on a set of child events."""
+class AllOf(Event):
+    """Fires once *all* child events processed; value is the value list.
+
+    Fails immediately (with the child's exception) if any child fails.
+    """
 
     __slots__ = ("events", "_pending")
 
@@ -231,11 +234,8 @@ class _Condition(Event):
         self.events = list(events)
         self._pending = len(self.events)
         if not self.events:
-            self.succeed(self._collect())
+            self.succeed([])
             return
-        self._watch()
-
-    def _watch(self) -> None:
         # One bound method for all children (not one per add_callback
         # call), with the first-waiter registration fast path inlined.
         on_child = self._on_child
@@ -244,21 +244,6 @@ class _Condition(Event):
                 event._cb0 = on_child
             else:
                 event.add_callback(on_child)
-
-    def _collect(self) -> list[typing.Any]:
-        return [e._value for e in self.events if e.processed and e.ok]
-
-    def _on_child(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Fires once *all* child events processed; value is the value list.
-
-    Fails immediately (with the child's exception) if any child fails.
-    """
-
-    __slots__ = ()
 
     def _on_child(self, event: Event) -> None:
         if self._triggered:
@@ -270,29 +255,3 @@ class AllOf(_Condition):
         self._pending -= 1
         if self._pending == 0:
             self.succeed([e._value for e in self.events])
-
-
-class AnyOf(_Condition):
-    """Fires when the *first* child event is processed.
-
-    Value is a ``(index, value)`` tuple of the winning child.  Each
-    watcher callback carries its child's index, so the winner is known
-    without an O(n) ``list.index`` scan at fire time.
-    """
-
-    __slots__ = ()
-
-    def _watch(self) -> None:
-        for index, event in enumerate(self.events):
-            event.add_callback(
-                lambda e, _i=index: self._on_child_at(_i, e)
-            )
-
-    def _on_child_at(self, index: int, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event.ok:
-            assert event.exception is not None
-            self.fail(event.exception)
-            return
-        self.succeed((index, event._value))

@@ -59,12 +59,6 @@ def test_capacity_for_fraction_and_override():
     assert fixed.capacity_for(100 * MiB) == 2 * GiB
 
 
-def test_scaled_testbed_shrinks_devices():
-    spec = ClusterSpec.scaled_testbed(scale=0.1)
-    assert spec.hdd.capacity_bytes == 25 * GiB
-    assert spec.num_dservers == 8
-
-
 # -- calibration ---------------------------------------------------------
 
 def test_calibration_lands_in_paper_regime():

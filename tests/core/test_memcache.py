@@ -77,7 +77,7 @@ def test_lru_eviction_bounded(s4d_cluster):
         yield from f.close()
 
     sim.run_process(body())
-    node_cache = layer._nodes[layer.node_for(0)]
+    node_cache = layer._nodes[layer.under.node_for(0)]
     assert len(node_cache.blocks) == 4
 
 

@@ -195,7 +195,7 @@ def test_movements_acquire_at_the_rebuilder_priority(s4d_cluster, priority):
     sim = s4d_cluster.sim
     mw.rebuilder.priority = priority
     seen = []
-    link = mw.fabric.endpoint("mover")
+    link = mw.direct.fabric.endpoint("mover")
     for resource in (link.tx, link.rx):
         def spy(prio=PRIORITY_NORMAL, _acquire=resource.acquire):
             seen.append(prio)

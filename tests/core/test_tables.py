@@ -70,15 +70,6 @@ def test_cdt_capacity_evicts_lowest_benefit():
     assert cdt.lookup("/f", 0, 10) is not None
 
 
-def test_cdt_entries_for_file():
-    cdt = CDT()
-    cdt.admit("/a", 0, 10, 0.1)
-    cdt.admit("/b", 0, 10, 0.1)
-    cdt.admit("/a", 10, 10, 0.1)
-    assert len(cdt.entries_for("/a")) == 2
-    assert cdt.entries_for("/missing") == []
-
-
 # -- DMT ----------------------------------------------------------------
 
 def test_dmt_add_and_lookup():

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.errors import KVStoreError, LockTimeout, ProcessKilled
+from repro.errors import KVStoreError, ProcessKilled
 from repro.kvstore import LockManager
-from repro.kvstore.locking import TimeoutLock
 from repro.sim import Simulator
 
 
@@ -74,76 +73,11 @@ def test_release_requires_ownership():
     sim.run_process(body())
 
 
-def test_with_lock_releases_on_exception():
-    sim = Simulator()
-    locks = LockManager(sim)
-
-    def critical():
-        yield sim.timeout(0.1)
-        raise RuntimeError("inside critical section")
-
-    def body():
-        try:
-            yield from locks.with_lock("k", critical)
-        except RuntimeError:
-            pass
-        assert not locks.is_held("k")
-        return True
-
-    assert sim.run_process(body())
-
-
-def test_timeout_lock_acquires_when_free():
-    sim = Simulator()
-    locks = LockManager(sim)
-    tlock = TimeoutLock(locks, budget=1.0)
-
-    def body():
-        token = yield from tlock.acquire("k")
-        locks.release(token)
-        return True
-
-    assert sim.run_process(body())
-
-
-def test_timeout_lock_raises_and_cancels():
-    sim = Simulator()
-    locks = LockManager(sim)
-    tlock = TimeoutLock(locks, budget=0.5)
-    outcome = {}
-
-    def holder():
-        token = yield locks.acquire("k")
-        yield sim.timeout(5.0)
-        locks.release(token)
-
-    def impatient():
-        try:
-            yield from tlock.acquire("k")
-        except LockTimeout:
-            outcome["timed_out"] = sim.now
-        # The cancelled request must not leave a ghost waiter.
-        assert locks.queue_length("k") == 0
-
-    def parent():
-        yield sim.all_of([sim.spawn(holder()), sim.spawn(impatient())])
-
-    sim.run_process(parent())
-    assert outcome["timed_out"] == 0.5
-    assert not locks.is_held("k")
-
-
 def test_cancel_unknown_acquire_rejected():
     sim = Simulator()
     locks = LockManager(sim)
     with pytest.raises(KVStoreError):
         locks.cancel("k", sim.event())
-
-
-def test_timeout_lock_bad_budget():
-    sim = Simulator()
-    with pytest.raises(KVStoreError):
-        TimeoutLock(LockManager(sim), budget=0)
 
 
 def test_killed_lock_waiter_leaves_the_queue():

@@ -89,17 +89,6 @@ def test_rate_limited_by_slower_endpoint():
     assert sim.run_process(body()) == pytest.approx(1.0)
 
 
-def test_request_response_round_trip():
-    sim = Simulator()
-    fabric = make_fabric(sim, bandwidth=100 * MiB, latency=1e-3)
-
-    def body():
-        yield from fabric.request_response("c0", "s0", 0, 100 * MiB)
-        return sim.now
-
-    assert sim.run_process(body()) == pytest.approx(2e-3 + 1.0)
-
-
 def test_unknown_endpoint_rejected():
     sim = Simulator()
     fabric = make_fabric(sim)

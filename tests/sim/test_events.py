@@ -115,13 +115,3 @@ def test_all_of_fails_fast_on_child_failure():
     sim.run()
     assert not combo.ok
     assert isinstance(combo.exception, RuntimeError)
-
-
-def test_any_of_fires_on_first_event():
-    sim = Simulator()
-    events = [sim.timeout(3.0, "slow"), sim.timeout(1.0, "fast")]
-    combo = sim.any_of(events)
-    seen = []
-    combo.add_callback(lambda e: seen.append((sim.now, e.value)))
-    sim.run()
-    assert seen == [(1.0, (1, "fast"))]

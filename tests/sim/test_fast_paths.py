@@ -102,23 +102,35 @@ def test_pooled_timeout_reuse_delivers_fresh_values():
 
 
 def test_timeouts_in_composite_waits_are_not_pooled():
-    """any_of/all_of membership adds extra callbacks; such timeouts must
-    never enter the free pool (a pooled rearm would corrupt the
-    composite's child list)."""
+    """all_of membership adds extra callbacks; such timeouts must never
+    enter the free pool (a pooled rearm would corrupt the composite's
+    child list)."""
     sim = Simulator()
+    joined = []
+
+    def joiner(children):
+        joined.append((yield sim.all_of(children)))
 
     def proc():
         fast = sim.timeout(0.1, value="fast")
         slow = sim.timeout(5.0, value="slow")
-        index, value = yield sim.any_of([fast, slow])
-        assert (index, value) == (0, "fast")
-        # The losing child is still pending and must stay valid.
+        sim.spawn(joiner([fast, slow]))
+        # ``fast`` has two callbacks: this resume and the all_of watcher.
+        got = yield fast
+        assert got == "fast"
+        yield sim.timeout(0.5)  # ``fast``'s dispatch has fully finished
+        # The composite still holds ``fast``: it must not be pooled, and
+        # fresh timeouts must not rearm it.  Its other child is still
+        # pending and must stay valid.
+        assert fast not in sim._timeout_pool
+        assert all(sim.timeout(1.0) is not fast for _ in range(2))
         assert not slow.processed
         got = yield slow
         assert got == "slow"
 
     sim.spawn(proc())
     sim.run()
+    assert joined == [["fast", "slow"]]
     assert not sim._timeout_pool or all(
         isinstance(t, Timeout) and t._cb0 is None and t._callbacks is None
         for t in sim._timeout_pool
@@ -143,35 +155,8 @@ def test_held_timeout_state_is_read_back_before_reuse():
 
 
 # ---------------------------------------------------------------------------
-# AnyOf winner index
+# AllOf value order
 # ---------------------------------------------------------------------------
-
-def test_any_of_reports_winning_index_and_value():
-    sim = Simulator()
-    results = []
-
-    def proc():
-        events = [sim.timeout(3.0, "a"), sim.timeout(1.0, "b"),
-                  sim.timeout(2.0, "c")]
-        results.append((yield sim.any_of(events)))
-
-    sim.spawn(proc())
-    sim.run()
-    assert results == [(1, "b")]
-
-
-def test_any_of_tie_goes_to_first_scheduled():
-    sim = Simulator()
-    results = []
-
-    def proc():
-        events = [sim.timeout(1.0, "a"), sim.timeout(1.0, "b")]
-        results.append((yield sim.any_of(events)))
-
-    sim.spawn(proc())
-    sim.run()
-    assert results == [(0, "a")]
-
 
 def test_all_of_collects_values_in_child_order():
     sim = Simulator()

@@ -195,20 +195,30 @@ def test_recycled_grant_is_inert():
 
 
 def test_multi_waiter_event_not_pooled():
-    """An event with a second callback (any_of watcher) must never be
-    recycled — the extra waiter may still read it."""
+    """An event with a second callback (a second waiting process, an
+    all_of watcher) must never be recycled — the extra waiters may
+    still read it."""
     sim = Simulator(seed=0)
+    ev = sim.event()
+    seen = []
 
-    def body():
-        ev = sim.event()
-        cond = sim.any_of([ev, sim.timeout(1.0)])
-        ev.succeed("winner")
-        idx, value = yield cond
-        assert (idx, value) == (0, "winner")
+    def waiter(name):
+        seen.append((name, (yield ev)))
         assert ev._value == "winner"  # still readable, not in pool
         assert ev not in sim._event_pool
 
-    sim.run_process(body())
+    def watcher():
+        seen.append(("all_of", (yield sim.all_of([ev, sim.timeout(1.0)]))))
+        assert ev._value == "winner"
+
+    sim.spawn(waiter("first"))
+    sim.spawn(waiter("second"))
+    sim.spawn(watcher())
+    ev.succeed("winner")
+    sim.run()
+    assert seen == [("first", "winner"), ("second", "winner"),
+                    ("all_of", ["winner", None])]
+    assert ev not in sim._event_pool
 
 
 def test_pooling_off_never_pools():

@@ -18,8 +18,8 @@ is recorded with ``gated: false``.
 - ``coalescing``: one stock campaign's stripe fragments against the
   sub-requests per-server coalescing puts on the wire;
 - ``streaming``: streaming telemetry on against off;
-- ``sweep``: the golden experiment subset serial, cold at ``--jobs N``
-  into a fresh result store, then warm from it.
+- ``sweep``: the golden points (one per experiment) serial, cold at
+  ``--jobs N`` into a fresh result store, then warm from it.
 
 Wall-clock reads here are sanctioned: reporting-only bench code (the
 ``[tool.simlint.allow]`` DET001 entry for ``*/bench/*``).
@@ -649,11 +649,15 @@ def _streaming(scale, repeats, jobs, progress):
 
 # -- sweep: parallel digests, result cache and work stealing --------------
 
-#: The golden determinism subset, grouped by run_all scale.
-SWEEP_GROUPS: list[tuple[float, list[str]]] = [
-    (0.05, ["fig6a", "fig6b", "table3"]),
-    (0.1, ["fig9a", "fig9b"]),
-]
+def sweep_groups() -> list[tuple[float, list[str]]]:
+    """The golden points (``harness.GOLDEN_POINTS``), grouped by scale:
+    one sweep per scale, in first-seen order."""
+    from ..experiments.harness import GOLDEN_POINTS
+
+    groups: dict[float, list[str]] = {}
+    for exp_id, scale in GOLDEN_POINTS:
+        groups.setdefault(scale, []).append(exp_id)
+    return list(groups.items())
 
 #: A warm sweep must be at least this many times faster than the cold
 #: one: a cache hit is a WAL lookup, a miss a simulation.
@@ -671,7 +675,7 @@ def _golden_pass(jobs: int, store) -> tuple[float, dict, list[dict]]:
     digests: dict[str, str] = {}
     drains: list[dict] = []
     t0 = time.perf_counter()
-    for scale, only in SWEEP_GROUPS:
+    for scale, only in sweep_groups():
         results, stats = run_sweep(only, scale, jobs=jobs, store=store)
         if stats is not None:
             drains.append(dict(stats.as_dict(), scale=scale))
@@ -685,12 +689,13 @@ def _sweep(scale, repeats, jobs, progress):
     from ..parallel import ResultStore
 
     say = progress or (lambda msg: None)
-    points = sum(len(only) for _, only in SWEEP_GROUPS)
-    say(f"serial pass: {points} configs, no store ...")
+    say("serial pass, no store ...")
     serial_wall, serial, _ = _golden_pass(1, None)
+    points = len(serial)
     with tempfile.TemporaryDirectory(prefix="bench-sweep-") as tmp, \
             ResultStore(tmp) as store:
-        say(f"serial {serial_wall:.1f}s; cold pass, --jobs {jobs} ...")
+        say(f"serial {serial_wall:.1f}s ({points} points); cold pass, "
+            f"--jobs {jobs} ...")
         cold_wall, cold, cold_drains = _golden_pass(jobs, store)
         cold_misses = store.misses
         say(f"cold {cold_wall:.1f}s; warm pass ...")

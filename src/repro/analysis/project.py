@@ -64,13 +64,12 @@ TAINT_NUMPY_OK = frozenset({
 
 #: Method/function names whose argument at the given position is a
 #: scheduling *sink*: a nondeterministic value arriving there changes
-#: the event order of the run.  -1 means "any argument".
+#: the event order of the run.
 SINK_POSITIONS: dict[str, int] = {
     "timeout": 0,
     "_schedule": 1,
     "succeed": 1,
     "fail": 1,
-    "schedule_many": -1,
 }
 
 #: Digest/state sinks by method name: feeding host-dependent bytes in
@@ -612,24 +611,20 @@ def sink_arguments(
 ) -> typing.Iterator[tuple[int, ast.AST]]:
     """The (position, argument) pairs of ``call`` that land in a sink.
 
-    Covers the scheduling-delay table (``timeout``/``succeed``/…), bulk
-    arming (``schedule_many`` — every argument), and digest updates on
-    receivers whose name betrays a hash (``self._digest.update(x)``).
+    Covers the scheduling-delay table (``timeout``/``succeed``/…) and
+    digest updates on receivers whose name betrays a hash
+    (``self._digest.update(x)``).
     """
     name = _call_name(call.func)
     if name is None:
         return
     position = SINK_POSITIONS.get(name)
     if position is not None:
-        if position == -1:
-            for pos, arg in enumerate(call.args):
-                yield pos, arg
-        else:
-            if len(call.args) > position:
-                yield position, call.args[position]
-            for kw in call.keywords:
-                if kw.arg == "delay":
-                    yield position, kw.value
+        if len(call.args) > position:
+            yield position, call.args[position]
+        for kw in call.keywords:
+            if kw.arg == "delay":
+                yield position, kw.value
     if name in DIGEST_SINK_ATTRS and isinstance(call.func, ast.Attribute):
         receiver = call.func.value
         tail = (

@@ -123,8 +123,7 @@ def _event_loop(scale: float):
 def _timeout_storm(scale: float):
     """Timed-event throughput: timer scheduling plus Timeout churn.
 
-    Only eight timers are ever live at once; ``schedule_many`` covers
-    the bulk-armed large-population regime.
+    Only eight timers are ever live at once.
     """
     from ..sim import Simulator
 
@@ -144,50 +143,6 @@ def _timeout_storm(scale: float):
         return sim.run
 
     return build, workers * iters, "timeouts", "throughput"
-
-
-def _spread_times(n: int, span: float, salt: int = 0) -> list[float]:
-    """``n`` sorted pseudo-uniform times over ``[0, span)``.
-
-    A fixed multiplicative hash, not ``random`` — bench inputs must be
-    identical across runs and machines.
-    """
-    return sorted(
-        ((i * 2654435761 + salt * 7919) % 1000003) / 1000003 * span
-        for i in range(n)
-    )
-
-
-@bench("schedule_many")
-def _schedule_many(scale: float):
-    """Round-based bulk arming: large pending timer populations.
-
-    Twelve rounds of one ``schedule_many`` burst (16k timers over two
-    simulated seconds) drained to empty, dominated by bulk-insert plus
-    drain rather than steady-state interleaving.  The streaming
-    sampler's pre-armed tick chains are the engine's only
-    ``schedule_many`` caller, at 32 ticks a batch.
-    """
-    from ..sim import Simulator
-
-    rounds = 12
-    per = _scaled(16_384, scale, minimum=256)
-    batches = [
-        [d + 1e-6 for d in _spread_times(per, 2.0, salt=r)]
-        for r in range(rounds)
-    ]
-
-    def build():
-        sim = Simulator(seed=13)
-
-        def run():
-            for delays in batches:
-                sim.schedule_many(delays)
-                sim.run()
-
-        return run
-
-    return build, rounds * per, "timeouts", "throughput"
 
 
 @bench("resource_handoff")
@@ -327,12 +282,12 @@ def _telemetry_stream(scale: float):
 
     The per-event cost a telemetered run adds on top of the engine:
     one latency observe (a buffered append, folded in batches into the
-    windowed Welford stats and the log histogram) and one counter add
-    per event, with a full sample-row render every ~1000 observations
-    (the 1s-cadence Sampler shape).
+    cumulative and window tallies and the log histogram) and one
+    counter add per event, with a sample-row render (which closes both
+    series' windows) every ~1000 observations (the 1s-cadence Sampler
+    shape).
     """
-    from ..obs.streaming.hub import LatencySeries
-    from ..obs.streaming.stats import WindowedCounter
+    from ..obs.streaming.hub import CounterSeries, LatencySeries
 
     iters = _scaled(60_000, scale, minimum=512)
 
@@ -344,19 +299,19 @@ def _telemetry_stream(scale: float):
 
     def build():
         clock = Clock()
-        latency = LatencySeries(clock, 1.0, 8, name="bench.latency")
-        counter = WindowedCounter(clock, 1.0, 8, name="bench.bytes")
+        latency = LatencySeries("bench.latency")
+        counter = CounterSeries("bench.bytes", clock)
 
         def run():
             observe = latency.observe
             add = counter.add
             for i in range(iters):
-                clock.now = i * 1e-3  # sweeps the full bucket ring
+                clock.now = i * 1e-3  # one sample per sim second
                 observe((i % 997) * 1e-6)
                 add(4096.0)
                 if i % 1000 == 0:
                     latency.sample_fields()
-                    counter.as_dict()
+                    counter.sample_fields()
 
         return run
 

@@ -35,8 +35,6 @@ class StorageDevice(abc.ABC):
         self.total_requests = 0
         self.total_bytes = 0
         self.total_busy_time = 0.0
-        #: Optional streaming hooks (a DeviceStream); None costs nothing.
-        self.stream = None
 
     def service_time(
         self, op: str, offset: int, size: int, rng: random.Random | None = None
@@ -53,8 +51,6 @@ class StorageDevice(abc.ABC):
         self.total_requests += 1
         self.total_bytes += size
         self.total_busy_time += elapsed
-        if self.stream is not None:
-            self.stream.record(op, size, elapsed)
         return elapsed
 
     @abc.abstractmethod

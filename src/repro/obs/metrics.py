@@ -1,16 +1,12 @@
-"""Unified telemetry: one registry over every measurement primitive.
+"""Unified telemetry: one registry over every end-of-run measurement.
 
-Experiment drivers used to pick numbers out of ``sim.monitor``
-primitives, ``CacheMetrics`` fields and per-object counters by hand.
-The :class:`MetricsRegistry` absorbs all of them behind one labelled
-snapshot/export API:
+:func:`registry_for_cluster` labels a built cluster's measurements and
+the :class:`MetricsRegistry` snapshots and exports them through one
+API.  Whatever is registered renders through :func:`summarize`:
 
-- :class:`~repro.sim.monitor.Counter` / ``Tally`` / ``TimeWeighted`` /
-  ``IntervalLog``
-- :class:`~repro.core.metrics.CacheMetrics` (anything with
-  ``as_dict()``)
-- the tracer itself (self-profiling: wall-clock overhead, spans
-  recorded)
+- objects with ``as_dict()``: :class:`~repro.sim.monitor.IntervalLog`
+  (server busy time), :class:`~repro.core.metrics.CacheMetrics`, the
+  tracer itself (self-profiling: wall-clock overhead, spans recorded);
 - plain numbers, dicts of the above, and zero-argument callables
   (evaluated lazily at snapshot time).
 
@@ -25,15 +21,14 @@ import numbers
 import typing
 
 from ..errors import ConfigError
-from ..sim.monitor import Counter, Tally
 
 
 def summarize(obj: typing.Any) -> typing.Any:
     """Render one registered object as JSON-ready data.
 
     The primary protocol is ``as_dict()``: every measurement primitive
-    (``Counter``/``Tally``/``TimeWeighted``/``IntervalLog``, the
-    streaming series, ``CacheMetrics``, the tracer) renders itself —
+    (``Counter``/``Tally``/``IntervalLog``, the streaming series,
+    ``CacheMetrics``, the tracer) renders itself —
     no isinstance ladder to extend when a new primitive appears.  The
     remaining branches are graceful fallbacks for plain values: dicts
     recurse, scalars pass through, zero-argument callables are
@@ -75,25 +70,6 @@ class MetricsRegistry:
             raise ConfigError(f"duplicate metric name {name!r}")
         self._items[name] = obj
         return obj
-
-    def counter(self, name: str) -> Counter:
-        """The Counter under ``name``, registered on first use."""
-        return self._get_or_create(Counter, name)
-
-    def tally(self, name: str) -> Tally:
-        """The Tally under ``name``, registered on first use."""
-        return self._get_or_create(Tally, name)
-
-    def _get_or_create(self, cls, name: str):
-        if name not in self._items:
-            return self.register(name, cls(name))
-        existing = self._items[name]
-        if type(existing) is not cls:
-            raise ConfigError(
-                f"metric {name!r} is a {type(existing).__name__}, "
-                f"not a {cls.__name__}"
-            )
-        return existing
 
     def names(self) -> list[str]:
         return sorted(self._items)

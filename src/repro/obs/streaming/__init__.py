@@ -4,10 +4,11 @@ End-of-run snapshots (:class:`~repro.obs.metrics.MetricsRegistry`)
 answer "what happened overall"; this package answers "what was
 happening at t" with O(1) memory per series:
 
-- :mod:`.stats` — windowed tallies/counters and the log histogram
-  behind every latency quantile (no randomness, sim-clock only);
-- :mod:`.hub` — the per-run series registry and the zero-cost-when-
+- :mod:`.hub` — the per-run series registry, the series (cumulative
+  statistics plus one window per sample) and the zero-cost-when-
   disabled hot-path adapters;
+- :mod:`.stats` — the batch reduction tallies fold with and the log
+  histogram behind every latency quantile (no randomness);
 - :mod:`.sampler` — the sim-time sampling process and JSONL/CSV
   time-series writers;
 - :mod:`.session` — :class:`StreamTelemetry`, the CLI-facing
@@ -19,7 +20,6 @@ happening at t" with O(1) memory per series:
 
 from .hub import (
     CacheStream,
-    DeviceStream,
     GaugeSeries,
     LatencySeries,
     ServerStream,
@@ -36,20 +36,13 @@ from .sampler import (
     make_writer,
 )
 from .session import StreamTelemetry, active_telemetry
-from .stats import (
-    DEFAULT_QUANTILES,
-    LogHistogram,
-    WindowedCounter,
-    WindowedTally,
-    WindowStats,
-)
+from .stats import DEFAULT_QUANTILES, LogHistogram
 
 __all__ = [
     "CSV_COLUMNS",
     "CacheStream",
     "CsvSeriesWriter",
     "DEFAULT_QUANTILES",
-    "DeviceStream",
     "EngineProfiler",
     "GaugeSeries",
     "JsonlSeriesWriter",
@@ -60,9 +53,6 @@ __all__ = [
     "ServerStream",
     "StreamHub",
     "StreamTelemetry",
-    "WindowStats",
-    "WindowedCounter",
-    "WindowedTally",
     "active_telemetry",
     "attach_cluster",
     "component_of",

@@ -1,22 +1,28 @@
 """The StreamHub: named series registry + hot-path adapters.
 
 A hub owns every streaming series of one simulation run.  Component
-hooks (redirector, space manager, file servers, devices, PFS clients,
-middleware) hold *direct references* to their series wrapped in tiny
-adapter objects — and cost exactly nothing when telemetry is off (the
-``stream`` attributes stay None).
+hooks (redirector, space manager, file servers, PFS clients,
+middleware) hold *direct references* to their series — and cost
+exactly nothing when telemetry is off (the ``stream`` attributes stay
+None).
 
-When telemetry is on, the hot path is deliberately dumb: a hook
-appends ``(sim-time, value)`` to a flat per-series buffer and returns.
-The buffered batch folds into the underlying primitives (vectorized
-for large batches — see ``stats.observe_many``) at each sample tick
-or when the buffer hits ``_BUFFER_CAP``, so per-series memory stays
-bounded no matter the stream length.
+Every series keeps its cumulative statistics and one open *window*:
+the observations since the sampler's previous sample.  Only
+:meth:`StreamHub.rows`, the sampler's read, closes the windows, so
+consecutive rows partition a run: a series' ``window_count`` values
+sum to its last row's ``count``.  ``as_dict()`` reads without closing
+anything.
+
+When telemetry is on, the hot path stays dumb: a counter adds to two
+running sums, and a tally appends the value to a flat buffer that
+folds into both halves at each sample or when it reaches
+``_BUFFER_CAP`` values, so per-series memory stays bounded no matter
+the stream length.
 
 Series kinds and their sampled row fields:
 
 - ``counter``  — cumulative count/total, window count/total, rate
-- ``tally``    — cumulative + trailing-window Welford stats
+- ``tally``    — cumulative and window Welford stats
 - ``latency``  — a tally plus P50/P99/P999 from a log histogram
 - ``gauge``    — one lazily evaluated value
 """
@@ -26,164 +32,154 @@ from __future__ import annotations
 import typing
 
 from ...errors import ConfigError
-from .stats import (
-    DEFAULT_QUANTILES,
-    LogHistogram,
-    WindowedCounter,
-    WindowedTally,
-)
+from ...sim.monitor import Counter, Tally
+from .stats import DEFAULT_QUANTILES, LogHistogram, moments
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from ...cluster.builder import Cluster
+    from ...devices.base import StorageDevice
     from ...sim import Simulator
 
 
-#: Flat (time, value) pairs a series buffers before folding; bounds
-#: per-series memory at ``_BUFFER_CAP`` floats regardless of stream
-#: length, so the O(1)-memory guarantee of the primitives survives.
+#: Values a tally buffers before folding; bounds per-series memory at
+#: ``_BUFFER_CAP`` floats regardless of stream length.
 _BUFFER_CAP = 4096
 
-#: Ring buckets per trailing window: a sampled window slides forward
-#: in steps of ``window / _BUCKETS``.
-_BUCKETS = 8
 
+class CounterSeries(Counter):
+    """A counter as a sampled series: two running sums.
 
-class CounterSeries(WindowedCounter):
-    """A windowed counter as a sampled series.
-
-    Hot-path ``add`` calls append to a flat buffer; the buffered batch
-    folds into the counter (vectorized) at each sample tick or when
-    the buffer fills.  Reads go through :meth:`as_dict`, which drains
-    the buffer first.
+    ``add(amount)`` counts one event of weight ``amount`` (bytes,
+    seconds, 1.0 ...).  The window is the difference since the
+    previous sample; ``rate`` is window events per sim second since
+    then, and 0.0 when no sim time has passed.
     """
 
     kind = "counter"
 
-    __slots__ = ("_buf", "flushers", "_row_cache")
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._buf: list[float] = []
-        #: Extra drain callbacks for adapters that batch into this
-        #: counter through a buffer of their own (see DeviceStream).
-        self.flushers: list = []
-        self._row_cache: tuple | None = None
-
-    def add(self, amount: float = 1.0) -> None:
-        buf = self._buf
-        buf.append(self.clock.now)
-        buf.append(amount)
-        if len(buf) >= _BUFFER_CAP:
-            self._flush()
-
-    def _flush(self) -> None:
-        for drain in self.flushers:
-            drain()
-        buf = self._buf
-        if not buf:
-            return
-        self._buf = []
-        self.add_many(buf[0::2], buf[1::2])
+    def __init__(self, name: str, clock: "Simulator"):
+        super().__init__(name)
+        self.clock = clock
+        #: (count, total, sim time) at the previous sample.
+        self._mark = (0, 0.0, clock.now)
 
     def as_dict(self) -> dict:
-        self._flush()
-        return super().as_dict()
+        count = self.count
+        total = self.total
+        count0, total0, since = self._mark
+        window = count - count0
+        elapsed = self.clock.now - since
+        return {
+            "count": count, "total": total, "mean": self.mean,
+            "window_count": window, "window_total": total - total0,
+            "rate": window / elapsed if elapsed > 0 else 0.0,
+        }
 
     def sample_fields(self) -> dict:
-        # Idle-series fast path: with no new observations and an
-        # already-empty window, the row is constant — a run's quiet
-        # series (read-phase write counters, cold-tier devices) cost
-        # one count comparison per tick instead of a full rollup.
-        # The cached dict is shared; sampling callers must not mutate.
-        self._flush()
-        count = self.count
-        cached = self._row_cache
-        if cached is not None and cached[0] == count and cached[2]:
-            return cached[1]
-        row = WindowedCounter.as_dict(self)
-        self._row_cache = (count, row, not row["window_count"])
+        """The row for this sample; closes the window."""
+        row = self.as_dict()
+        self._mark = (row["count"], row["total"], self.clock.now)
         return row
 
 
-class TallySeries(WindowedTally):
-    """A windowed tally as a sampled series (buffered like a counter)."""
+class DeviceCounter(CounterSeries):
+    """A device's running totals as a counter series, from attach.
+
+    :class:`~repro.devices.base.StorageDevice` already counts requests,
+    bytes and busy seconds per op, so this series reads them at sample
+    time instead of hooking the op: ``count`` is requests served and
+    ``total`` the named running total, both since the series was made.
+    """
+
+    def __init__(self, name: str, clock: "Simulator",
+                 device: "StorageDevice", attr: str):
+        super().__init__(name, clock)
+        self._device = device
+        self._attr = attr
+        self._base = (device.total_requests, getattr(device, attr))
+
+    def as_dict(self) -> dict:
+        device = self._device
+        self.count = device.total_requests - self._base[0]
+        self.total = float(getattr(device, self._attr) - self._base[1])
+        return super().as_dict()
+
+
+class TallySeries:
+    """Cumulative and window :class:`~repro.sim.monitor.Tally` halves.
+
+    ``observe`` appends to a flat value buffer; each fold reduces the
+    buffer once (:func:`~repro.obs.streaming.stats.moments`) and merges
+    the batch into both halves.  Closing the window starts a fresh
+    window tally.
+    """
 
     kind = "tally"
 
-    __slots__ = ("_buf", "flushers", "_row_cache")
+    __slots__ = ("name", "cumulative", "window", "_buf")
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, name: str):
+        self.name = name
+        self.cumulative = Tally(name)
+        self.window = Tally(name)
         self._buf: list[float] = []
-        #: Extra drain callbacks for adapters that batch into this
-        #: series through a buffer of their own (see ServerStream).
-        self.flushers: list = []
-        self._row_cache: tuple | None = None
 
     def observe(self, value: float) -> None:
         buf = self._buf
-        buf.append(self.clock.now)
         buf.append(value)
         if len(buf) >= _BUFFER_CAP:
-            self._flush()
+            self._fold()
 
-    def _flush(self) -> None:
-        for drain in self.flushers:
-            drain()
+    def _fold(self) -> None:
         buf = self._buf
-        if not buf:
-            return
-        self._buf = []
-        self.observe_many(buf[0::2], buf[1::2])
+        if buf:
+            self._buf = []
+            self._merge(buf)
 
-    def rollup(self):
-        self._flush()
-        return super().rollup()
+    def _merge(self, values: list[float]) -> None:
+        batch = moments(values)
+        self.cumulative.merge(*batch)
+        self.window.merge(*batch)
 
     def as_dict(self) -> dict:
-        self._flush()
+        self._fold()
         return self._row()
 
     def sample_fields(self) -> dict:
-        # Idle-series fast path (see CounterSeries.sample_fields).
-        self._flush()
-        count = self.count
-        cached = self._row_cache
-        if cached is not None and cached[0] == count and cached[2]:
-            return cached[1]
-        row = self._row()
-        self._row_cache = (count, row, not row["window_count"])
+        """The row for this sample; closes the window."""
+        row = self.as_dict()
+        self.window = Tally(self.name)
         return row
 
     def _row(self) -> dict:
-        """A fresh sampled row from the folded state."""
-        return WindowedTally.as_dict(self)
+        total, window = self.cumulative, self.window
+        return {
+            "count": total.count, "mean": total.mean, "stdev": total.stdev,
+            "min": total.minimum, "max": total.maximum,
+            "window_count": window.count, "window_mean": window.mean,
+            "window_max": window.maximum,
+        }
 
 
 class LatencySeries(TallySeries):
     """A tally series that also reports P50/P99/P999.
 
-    Each flushed batch folds into the windowed tally and into one
-    :class:`~repro.obs.streaming.stats.LogHistogram`, so the
-    per-observation hot path stays two list appends and a length
-    check.
+    Each folded batch also goes into one
+    :class:`~repro.obs.streaming.stats.LogHistogram`, whose quantiles
+    are cumulative over the run.
     """
 
     kind = "latency"
 
     __slots__ = ("histogram",)
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, name: str):
+        super().__init__(name)
         self.histogram = LogHistogram()
 
-    def observe_many(self, times, values) -> None:
-        super().observe_many(times, values)
+    def _merge(self, values: list[float]) -> None:
+        super()._merge(values)
         self.histogram.observe_many(values)
-
-    def quantile(self, q: float) -> float:
-        self._flush()
-        return self.histogram.quantile(q)
 
     def _row(self) -> dict:
         row = super()._row()
@@ -217,9 +213,8 @@ class GaugeSeries:
 class StreamHub:
     """Registry of the streaming series of one simulation run."""
 
-    def __init__(self, sim: "Simulator", window: float = 1.0):
+    def __init__(self, sim: "Simulator"):
         self.sim = sim
-        self.window = window
         self._series: dict[str, typing.Any] = {}
         #: Sorted (name, series) pairs, rebuilt on registration: the
         #: sampler reads every series every tick, so the sort must not
@@ -234,13 +229,11 @@ class StreamHub:
         self._ordered = sorted(self._series.items())
         return series
 
-    def _get_or_create(self, cls, name: str):
+    def _get_or_create(self, cls, name: str, *args):
         """The ``cls`` series named ``name``, created on first use."""
         existing = self._series.get(name)
         if existing is None:
-            return self._register(
-                name, cls(self.sim, self.window, _BUCKETS, name)
-            )
+            return self._register(name, cls(name, *args))
         if existing.kind != cls.kind:
             raise ConfigError(
                 f"series {name!r} is a {existing.kind}, not a {cls.kind}"
@@ -248,7 +241,7 @@ class StreamHub:
         return existing
 
     def counter(self, name: str) -> CounterSeries:
-        return self._get_or_create(CounterSeries, name)
+        return self._get_or_create(CounterSeries, name, self.sim)
 
     def tally(self, name: str) -> TallySeries:
         return self._get_or_create(TallySeries, name)
@@ -273,7 +266,10 @@ class StreamHub:
 
     # -- sampling -------------------------------------------------------
     def rows(self) -> list[dict]:
-        """One sampled row per series, in sorted series order."""
+        """One row per series, in sorted series order.
+
+        Closes every series' window: the sampler is the only caller.
+        """
         out = []
         for name, series in self._ordered:
             row = {"series": name, "kind": series.kind}
@@ -324,76 +320,18 @@ class CacheStream:
 
 
 class ServerStream:
-    """File-server hooks: queue depth at arrival, device busy-time.
+    """File-server hooks: queue depth and device-op latency.
 
-    Both signals share one (arrival, depth, done, elapsed) quadruplet
-    buffer, so the per-request hook is a single call at completion;
-    the quads fan out to the two series on flush with their original
-    timestamps (depth stamped at arrival, service at completion).
+    :meth:`repro.pfs.server.FileServer._device_op` observes the queue
+    depth when a request arrives and its latency (queue wait plus
+    service) when it completes.
     """
 
-    __slots__ = ("queue_depth", "service", "_buf")
+    __slots__ = ("queue_depth", "service")
 
     def __init__(self, hub: StreamHub, name: str):
         self.queue_depth = hub.tally(f"server.{name}.queue_depth")
         self.service = hub.latency(f"server.{name}.service_time")
-        self._buf: list[float] = []
-        self.queue_depth.flushers.append(self._flush)
-        self.service.flushers.append(self._flush)
-
-    def record(self, arrival: float, depth: int,
-               done: float, elapsed: float) -> None:
-        buf = self._buf
-        buf.append(arrival)
-        buf.append(depth)
-        buf.append(done)
-        buf.append(elapsed)
-        if len(buf) >= _BUFFER_CAP:
-            self._flush()
-
-    def _flush(self) -> None:
-        buf = self._buf
-        if not buf:
-            return
-        self._buf = []
-        self.queue_depth.observe_many(buf[0::4], buf[1::4])
-        self.service.observe_many(buf[2::4], buf[3::4])
-
-
-class DeviceStream:
-    """Device hooks: per-op busy seconds and bytes moved.
-
-    Both counters share one (time, bytes, elapsed) triplet buffer so
-    the per-op hook is a single call; the triplets fan out to the two
-    counters on flush.
-    """
-
-    __slots__ = ("busy", "ops", "_clock", "_buf")
-
-    def __init__(self, hub: StreamHub, name: str):
-        self.busy = hub.counter(f"device.{name}.busy_time")
-        self.ops = hub.counter(f"device.{name}.bytes")
-        self._clock = hub.sim
-        self._buf: list[float] = []
-        self.busy.flushers.append(self._flush)
-        self.ops.flushers.append(self._flush)
-
-    def record(self, op: str, nbytes: int, elapsed: float) -> None:
-        buf = self._buf
-        buf.append(self._clock.now)
-        buf.append(nbytes)
-        buf.append(elapsed)
-        if len(buf) >= _BUFFER_CAP:
-            self._flush()
-
-    def _flush(self) -> None:
-        buf = self._buf
-        if not buf:
-            return
-        self._buf = []
-        times = buf[0::3]
-        self.ops.add_many(times, buf[1::3])
-        self.busy.add_many(times, buf[2::3])
 
 
 def attach_cluster(cluster: "Cluster", hub: StreamHub) -> None:
@@ -428,4 +366,9 @@ def attach_cluster(cluster: "Cluster", hub: StreamHub) -> None:
         server.stream = ServerStream(hub, server.name)
         # Devices are named by their server (device names are generic
         # "hdd"/"ssd" and would collide across servers).
-        server.device.stream = DeviceStream(hub, server.name)
+        for series, attr in (("busy_time", "total_busy_time"),
+                             ("bytes", "total_bytes")):
+            name = f"device.{server.name}.{series}"
+            hub._register(
+                name, DeviceCounter(name, hub.sim, server.device, attr)
+            )

@@ -3,12 +3,17 @@
 The sampler wakes every ``interval`` sim-seconds, snapshots every
 series registered on its :class:`~repro.obs.streaming.hub.StreamHub`
 and appends one row per series to a :class:`SeriesWriter` (JSONL or
-CSV).  Lifecycle:
+CSV).  Each sample closes every series' window, so a row's window
+fields cover exactly the observations since the previous sample.
+Lifecycle:
 
 - ``start()``   — spawn the tick process (idempotent);
 - ``pause()``   — emit one final sample, *cancel* the pending tick and
   kill the process;
 - ``close()``   — pause + flush/close the writer.
+
+Ticks are armed one at a time, each at the previous tick's time plus
+``interval`` (t_k = t_{k-1} + interval).
 
 The pause path matters for determinism: a killed process leaves its
 pending timeout in the event heap, and popping an orphan timeout
@@ -31,11 +36,6 @@ from ...errors import ConfigError, ProcessKilled
 if typing.TYPE_CHECKING:  # pragma: no cover
     from ...sim import Simulator
     from .hub import StreamHub
-
-#: Ticks pre-armed per engine call (``Simulator.schedule_many``).  The
-#: armed times form the cumulative chain t_k = t_{k-1} + interval, so
-#: they are bit-identical to arming each tick as the previous fires.
-_TICK_BATCH = 32
 
 #: Canonical CSV column order: the union of every kind's row fields.
 CSV_COLUMNS = (
@@ -131,12 +131,10 @@ class Sampler:
         self.phase: str | None = None
         self.samples_taken = 0
         self._proc = None
-        #: The current pre-armed tick batch and the index of the tick
-        #: being awaited; everything from that index on is cancelled at
-        #: pause time (fired ticks are pooled engine property — never
-        #: touch them again).
-        self._pending_ticks: list | None = None
-        self._tick_next = 0
+        #: The armed tick until it fires.  A fired timeout goes back to
+        #: the engine's pool and may be reused by anyone, so the
+        #: reference is dropped as soon as the tick fires.
+        self._tick = None
 
     @property
     def running(self) -> bool:
@@ -153,22 +151,10 @@ class Sampler:
         interval = self.interval
         try:
             while True:
-                # Pre-arm a whole batch of ticks in one engine call.
-                # Absolute times (cumulative chain) keep the armed
-                # times bit-identical to one-at-a-time arming; see
-                # Simulator.schedule_many's ``at=`` contract.
-                t = sim.now
-                times = []
-                for _ in range(_TICK_BATCH):
-                    t += interval
-                    times.append(t)
-                ticks = sim.schedule_many(at=times)
-                self._pending_ticks = ticks
-                for i, tick in enumerate(ticks):
-                    self._tick_next = i
-                    yield tick
-                    self.sample()
-                self._pending_ticks = None
+                self._tick = sim.timeout(interval)
+                yield self._tick
+                self._tick = None
+                self.sample()
         except ProcessKilled:
             # pause() kills us between jobs; exit cleanly (an uncaught
             # kill in an unjoined process would surface as a crash).
@@ -198,19 +184,10 @@ class Sampler:
         proc.kill()
 
     def _cancel_pending(self) -> None:
-        """Lazily cancel every not-yet-fired pre-armed tick.
-
-        Fired ticks (before ``_tick_next``) are recycled through the
-        engine's timeout pool and may already belong to someone else;
-        only the still-pending tail is ours to cancel.
-        """
-        ticks = self._pending_ticks
-        if ticks is not None:
-            cancel = self.sim.cancel
-            for tick in ticks[self._tick_next:]:
-                if not tick.processed:
-                    cancel(tick)
-            self._pending_ticks = None
+        """Lazily cancel the armed tick, if one is pending."""
+        tick, self._tick = self._tick, None
+        if tick is not None:
+            self.sim.cancel(tick)
 
     def close(self) -> None:
         """Pause and flush/close the writer."""

@@ -78,9 +78,9 @@ class StreamTelemetry:
             return  # several campaigns may reuse one warmed cluster
         self.end_run()
         self._cluster = cluster
-        # The trailing window is the sampling cadence, so consecutive
-        # rows cover disjoint windows.
-        self.hub = StreamHub(cluster.sim, self.interval)
+        # Each sample closes every series' window, so a run's rows
+        # partition its observations, whatever the sampling cadence.
+        self.hub = StreamHub(cluster.sim)
         attach_cluster(cluster, self.hub)
         if self.writer is not None:
             self.sampler = Sampler(

@@ -29,7 +29,6 @@ from .stealing import StealStats, Task, steal_fanout
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from ..experiments.harness import ExperimentResult
-    from ..obs import MetricsRegistry
     from .store import ResultStore
 
 
@@ -102,7 +101,6 @@ def run_sweep(
     scale: float | None,
     jobs: int | None = 1,
     progress: typing.Callable[[str], None] | None = None,
-    metrics: "MetricsRegistry | None" = None,
     store: "ResultStore | None" = None,
 ) -> tuple[dict[str, "ExperimentResult"], StealStats | None]:
     """Run ``exp_ids``; cached results answered, one task per campaign.
@@ -151,7 +149,7 @@ def run_sweep(
     if pending:
         tasks = campaign_tasks(pending)
         values, stats = steal_fanout(
-            tasks, run_unit, jobs=jobs, progress=progress, metrics=metrics
+            tasks, run_unit, jobs=jobs, progress=progress
         )
         for (_, (ids, _)), views in zip(tasks, values):
             for exp_id, (result, wall) in zip(ids, views):

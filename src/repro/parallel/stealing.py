@@ -27,10 +27,9 @@ worker process that dies outright while it holds a task — surfaces as
 pool is torn down.  Workers are daemonic (the final teardown backstop),
 so a worker may not itself start ``multiprocessing`` children.
 
-Progress is observable through a :class:`~repro.obs.MetricsRegistry`
-(counters ``parallel.tasks_done`` / ``parallel.tasks_failed``, the
-``parallel.task_seconds`` tally and the drain tallies) and an optional
-``progress`` callback fired as results arrive.
+Progress is observable through an optional ``progress`` callback,
+fired as each task finishes or fails, and through the returned
+:class:`StealStats`.
 """
 
 from __future__ import annotations
@@ -43,9 +42,6 @@ import traceback
 import typing
 
 from ..errors import ParallelError, WorkerCrashError
-
-if typing.TYPE_CHECKING:  # pragma: no cover
-    from ..obs import MetricsRegistry
 
 #: Payload -> result function executed in the worker.  Must be an
 #: importable module-level callable (the spawn start method pickles it
@@ -80,37 +76,12 @@ def os_cpu_count() -> int:
     return os.cpu_count() or 1  # simlint: disable=DET005 - pool sizing only
 
 
-class _Progress:
-    """Completion counters, optionally mirrored into a registry.
-
-    Alongside the done/failed counters, per-task wall time feeds a
-    ``parallel.task_seconds`` tally so stragglers are visible in
-    ``repro monitor`` / metrics snapshots (min/max/mean seconds per
-    unit), and failures emit a progress line naming the failing task.
-    """
-
-    def __init__(self, metrics: "MetricsRegistry | None"):
-        self.done = self.failed = self.seconds = None
-        if metrics is not None:
-            self.done = metrics.counter("parallel.tasks_done")
-            self.failed = metrics.counter("parallel.tasks_failed")
-            self.seconds = metrics.tally("parallel.task_seconds")
-
-    def ok(self, wall_seconds: float | None = None) -> None:
-        if self.done is not None:
-            self.done.add()
-        if self.seconds is not None and wall_seconds is not None:
-            self.seconds.observe(wall_seconds)
-
-    def fail(
-        self,
-        task_id: str,
-        progress: typing.Callable[[str], None] | None = None,
-    ) -> None:
-        if self.failed is not None:
-            self.failed.add()
-        if progress is not None:
-            progress(f"task {task_id} FAILED")
+def _report_failure(
+    task_id: str, progress: typing.Callable[[str], None] | None
+) -> None:
+    """The progress line naming a failed task."""
+    if progress is not None:
+        progress(f"task {task_id} FAILED")
 
 
 @dataclasses.dataclass
@@ -206,7 +177,6 @@ def _steal_worker_main(
 def _serial_drain(
     tasks: list[Task],
     worker: Worker,
-    tracker: _Progress,
     progress: typing.Callable[[str], None] | None,
 ) -> tuple[list, StealStats]:
     """The ``jobs <= 1`` path: same loop, one pseudo-worker's stats."""
@@ -219,14 +189,12 @@ def _serial_drain(
         try:
             value = worker(payload)
         except Exception:
-            wall = time.perf_counter() - start  # simlint: disable=DET001 - reporting only
-            tracker.fail(task_id, progress=progress)
+            _report_failure(task_id, progress)
             raise WorkerCrashError(task_id, traceback.format_exc()) from None
         wall = time.perf_counter() - start  # simlint: disable=DET001 - reporting only
         stats.tasks += 1
         stats.busy_seconds += wall
         stats.task_ids.append(task_id)
-        tracker.ok(wall)
         if progress is not None:
             progress(f"[{k + 1}/{len(tasks)}] {task_id} done")
         results.append(value)
@@ -238,7 +206,6 @@ def steal_fanout(
     worker: Worker,
     jobs: int | None = 1,
     progress: typing.Callable[[str], None] | None = None,
-    metrics: "MetricsRegistry | None" = None,
 ) -> tuple[list, StealStats]:
     """Drain ``tasks`` through a work-stealing pool; ordered results.
 
@@ -254,13 +221,9 @@ def steal_fanout(
             raise ParallelError(f"duplicate task id {task_id!r}")
         seen.add(task_id)
     jobs = resolve_jobs(jobs)
-    tracker = _Progress(metrics)
 
     if jobs <= 1 or len(tasks) <= 1:
-        results, steal_stats = _serial_drain(tasks, worker, tracker, progress)
-        if metrics is not None:
-            _record_stats(metrics, steal_stats)
-        return results, steal_stats
+        return _serial_drain(tasks, worker, progress)
 
     jobs = min(jobs, len(tasks))
     context = multiprocessing.get_context("spawn")
@@ -330,13 +293,12 @@ def steal_fanout(
                 continue
             inflight.pop(worker_id, None)
             if status == "error":
-                tracker.fail(task_id, progress=progress)
+                _report_failure(task_id, progress)
                 failure = WorkerCrashError(task_id, value)
                 raise failure
             stats[worker_id].tasks += 1
             stats[worker_id].busy_seconds += wall
             stats[worker_id].task_ids.append(task_id)
-            tracker.ok(wall)
             results_by_index[index] = value
             if progress is not None:
                 progress(
@@ -354,12 +316,9 @@ def steal_fanout(
         task_queue.close()
         result_queue.close()
 
-    steal_stats = StealStats(jobs=jobs, workers=stats)
-    if metrics is not None:
-        _record_stats(metrics, steal_stats)
     return (
         [results_by_index[i] for i in range(len(tasks))],
-        steal_stats,
+        StealStats(jobs=jobs, workers=stats),
     )
 
 
@@ -375,12 +334,3 @@ def _check_liveness(
                 f"worker {worker_id} died with exit code {process.exitcode}",
             )
     return None
-
-
-def _record_stats(metrics: "MetricsRegistry", stats: StealStats) -> None:
-    """Mirror drain telemetry into ``repro.obs`` counters."""
-    busy = metrics.tally("parallel.worker_busy_seconds")
-    drained = metrics.tally("parallel.worker_tasks")
-    for worker in stats.workers:
-        busy.observe(worker.busy_seconds)
-        drained.observe(worker.tasks)

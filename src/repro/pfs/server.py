@@ -126,7 +126,7 @@ class FileServer:
         stream = self.stream
         if stream is not None:
             arrival = sim.now
-            depth = self.queue.queue_length
+            stream.queue_depth.observe(self.queue.queue_length)
         if ctx is None or ctx is NULL_CONTEXT:
             grant = self.queue.acquire(priority)
             if not sim.take(grant):
@@ -140,8 +140,7 @@ class FileServer:
                 self.queue.release(grant)
             self.busy_log.record(start, sim.now, op)
             if stream is not None:
-                done = sim.now
-                stream.record(arrival, depth, done, done - arrival)
+                stream.service.observe(sim.now - arrival)
             return
         wait_span = ctx.begin("queue_wait", cat="server",
                               component=self.name, op=op)
@@ -164,8 +163,7 @@ class FileServer:
             self.queue.release(grant)
         self.busy_log.record(start, sim.now, op)
         if stream is not None:
-            done = sim.now
-            stream.record(arrival, depth, done, done - arrival)
+            stream.service.observe(sim.now - arrival)
 
     def utilisation(self) -> float:
         """Fraction of elapsed simulation time the device was busy."""

@@ -203,81 +203,6 @@ class Simulator:
             return timeout
         return Timeout(self, delay, value)
 
-    def schedule_many(
-        self,
-        delays: typing.Iterable[float] | None = None,
-        value: typing.Any = None,
-        *,
-        at: typing.Iterable[float] | None = None,
-    ) -> list[Timeout]:
-        """Bulk-create timeouts: one engine call for a whole batch.
-
-        ``schedule_many(delays)`` is equivalent to
-        ``[sim.timeout(d, value) for d in delays]`` — same pooling, same
-        sequence numbers, bit-identical schedule — but hoists the
-        per-call attribute traffic out of the loop.  Its one caller is
-        the streaming sampler, which pre-arms its ticks 32 at a time.
-
-        ``schedule_many(at=times)`` schedules at *absolute* simulated
-        times instead (each >= now).  Callers that pre-arm a cumulative
-        chain (t1 = now + d; t2 = t1 + d; ...) use this form so the
-        armed times are bit-identical to sequential scheduling — a
-        ``now + (t_k - now)`` round-trip through a delay would not be.
-        """
-        if (delays is None) == (at is None):
-            raise SimulationError("schedule_many needs delays or at=, not both")
-        out: list[Timeout] = []
-        pool = self._timeout_pool
-        runq = self._runq
-        now = self.now
-        seq = self._seq
-        heap = self._heap
-        heappush = heapq.heappush
-        pushed = 0
-        absolute = delays is None
-        for x in (at if absolute else delays):
-            if absolute:
-                when = x
-                delay = when - now
-            else:
-                delay = x
-                when = now + delay
-            if delay < 0:
-                self._seq = seq
-                self.timed_entry_tuples += pushed
-                raise SimulationError(f"negative timeout delay: {delay}")
-            if pool:
-                timeout = pool.pop()
-                timeout.delay = delay
-                timeout._value = value
-                timeout._processed = False
-            else:
-                timeout = Timeout.__new__(Timeout)
-                # Unrolled Event.__init__ + Timeout.__init__ minus the
-                # scheduling (done below); keep in sync with events.py.
-                timeout.sim = self
-                timeout._cb0 = None
-                timeout._callbacks = None
-                timeout._value = value
-                timeout._exc = None
-                timeout._triggered = True
-                timeout._processed = False
-                timeout._had_joiners = False
-                timeout.delay = delay
-            if delay == 0.0:
-                seq = timeout._qseq = seq + 1
-                runq.append(timeout)
-            else:
-                seq += 1
-                heappush(heap, (when, seq, timeout))
-                pushed += 1
-                if when <= now:
-                    self._timed_ready = True
-            out.append(timeout)
-        self._seq = seq
-        self.timed_entry_tuples += pushed
-        return out
-
     def all_of(self, events: typing.Sequence[Event]) -> AllOf:
         """Wait for every event in ``events``."""
         return AllOf(self, events)

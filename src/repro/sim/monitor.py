@@ -1,16 +1,14 @@
-"""Measurement helpers: counters, time-weighted stats and histograms.
+"""Measurement helpers: counters, tallies and busy-interval logs.
 
-Experiment drivers attach monitors to servers/devices to report the
-utilisation and queueing numbers behind the paper's figures.
+File servers log their busy intervals here for the utilisation behind
+the paper's figures; the trace breakdown (:mod:`repro.obs.summary`)
+and the streaming series (:mod:`repro.obs.streaming.hub`) build on
+:class:`Tally`, and counter series on :class:`Counter`.
 """
 
 from __future__ import annotations
 
 import math
-import typing
-
-if typing.TYPE_CHECKING:  # pragma: no cover
-    from .core import Simulator
 
 
 class Counter:
@@ -53,6 +51,24 @@ class Tally:
         self._minimum = min(self._minimum, value)
         self._maximum = max(self._maximum, value)
 
+    def merge(self, count: int, mean: float, m2: float,
+              minimum: float, maximum: float) -> None:
+        """Fold in one pre-reduced batch of ``count`` > 0 samples.
+
+        ``m2`` is the batch's sum of squared deviations from its
+        ``mean``; the merge is Chan et al.'s pairwise combination, so
+        a batch folded here matches observing its samples one by one
+        up to float rounding (exactly, into an empty tally).
+        """
+        n = self.count
+        total = n + count
+        delta = mean - self._mean
+        self._m2 += m2 + delta * delta * n * count / total
+        self._mean = self._mean + delta * count / total if n else mean
+        self.count = total
+        self._minimum = min(self._minimum, minimum)
+        self._maximum = max(self._maximum, maximum)
+
     @property
     def minimum(self) -> float:
         """Smallest observation; 0.0 with no samples (not ``inf``)."""
@@ -81,45 +97,6 @@ class Tally:
             "count": self.count, "mean": self.mean, "stdev": self.stdev,
             "min": self.minimum, "max": self.maximum,
         }
-
-
-class TimeWeighted:
-    """Time-weighted average of a piecewise-constant signal.
-
-    Used for queue lengths and device utilisation: ``set(level)`` at each
-    change, ``average(now)`` integrates level over time.
-    """
-
-    def __init__(self, sim: "Simulator", initial: float = 0.0):
-        self.sim = sim
-        self._level = initial
-        self._area = 0.0
-        self._since = sim.now
-        self._start = sim.now
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def set(self, level: float) -> None:
-        now = self.sim.now
-        self._area += self._level * (now - self._since)
-        self._since = now
-        self._level = level
-
-    def add(self, delta: float) -> None:
-        self.set(self._level + delta)
-
-    def average(self) -> float:
-        now = self.sim.now
-        elapsed = now - self._start
-        if elapsed <= 0:
-            return self._level
-        return (self._area + self._level * (now - self._since)) / elapsed
-
-    def as_dict(self) -> dict:
-        """Exporter protocol: current level and time-weighted average."""
-        return {"level": self.level, "average": self.average()}
 
 
 class IntervalLog:

@@ -7,8 +7,7 @@ import pytest
 from repro.cluster import ClusterSpec, run_workload
 from repro.errors import ConfigError
 from repro.obs import MetricsRegistry, Tracer, registry_for_cluster, summarize
-from repro.sim import Simulator
-from repro.sim.monitor import Counter, IntervalLog, Tally, TimeWeighted
+from repro.sim.monitor import Counter, IntervalLog, Tally
 from repro.workloads import IORWorkload
 
 
@@ -23,10 +22,6 @@ def test_summarize_monitor_primitives():
     summary = summarize(tally)
     assert summary["count"] == 2
     assert summary["min"] == 2.0 and summary["max"] == 4.0
-
-    sim = Simulator(seed=0)
-    tw = TimeWeighted(sim, initial=3.0)
-    assert summarize(tw) == {"level": 3.0, "average": 3.0}
 
     log = IntervalLog()
     log.record(0.0, 1.0)
@@ -65,27 +60,11 @@ def test_registry_nesting_and_duplicates():
 
 def test_registry_conveniences_and_json():
     registry = MetricsRegistry()
-    registry.counter("reqs").add(2.0)
-    registry.tally("lat").observe(1.0)
+    registry.register("reqs", Counter("reqs")).add(2.0)
+    registry.register("lat", Tally("lat")).observe(1.0)
     data = json.loads(registry.to_json())
     assert data["reqs"]["count"] == 1
     assert data["lat"]["mean"] == 1.0
-
-
-def test_registry_counter_and_tally_get_or_create():
-    registry = MetricsRegistry()
-    reqs = registry.counter("reqs")
-    assert registry.counter("reqs") is reqs
-    lat = registry.tally("lat")
-    assert registry.tally("lat") is lat
-    registry.register("plain", 3)
-    for make, name in ((registry.tally, "reqs"), (registry.counter, "lat"),
-                       (registry.counter, "plain")):
-        with pytest.raises(ConfigError):
-            make(name)
-    with pytest.raises(ConfigError):
-        registry.register("reqs", Counter("reqs"))  # register() still strict
-    assert len(registry) == 3
 
 
 def test_registry_for_cluster_snapshot(tmp_path):

@@ -4,6 +4,8 @@
   telemetry on and off;
 - the final sampled window agrees with the end-of-run registry
   snapshot (hit ratio exactly, cache counters event-for-event);
+- consecutive windows partition the run: each series' window counts
+  sum to its final count;
 - the time series contains hit-ratio and per-component P99 rows.
 """
 
@@ -102,6 +104,19 @@ def test_final_window_agrees_with_registry_snapshot(telemetered_run):
     assert final("cache.read_misses")["count"] == metrics["read_misses"]
     assert final("cache.admissions")["count"] == metrics["write_admitted"]
     assert final("cache.bounces")["count"] == metrics["write_bounced"]
+
+
+def test_windows_partition_the_run(telemetered_run):
+    _, rows, _ = telemetered_run
+    windows: dict[str, int] = {}
+    final: dict[str, int] = {}
+    for row in rows:
+        if row["kind"] in ("counter", "tally", "latency"):
+            name = row["series"]
+            windows[name] = windows.get(name, 0) + row["window_count"]
+            final[name] = row["count"]
+    assert len(final) == 34
+    assert windows == final
 
 
 def test_metrics_snapshot_file_written(telemetered_run):

@@ -1,24 +1,25 @@
-"""Streaming stats primitives: sketches vs exact, rollup vs oracle.
+"""Streaming stats: the sketch vs exact, series windows vs an oracle.
 
-The telemetry plane's sketches claim bounded error and O(1) memory;
-both claims are checked here against exact references
-(``statistics.quantiles``, a brute-force windowed oracle) on seeded
-streams.
+The telemetry plane's histogram claims bounded error and O(1) memory,
+and every series claims that its rows partition the observations by
+sample; both claims are checked here against exact references
+(``statistics``) on seeded and drawn streams.
 """
 
+import math
 import random
 import statistics
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigError
-from repro.obs.streaming import (
-    LogHistogram,
-    StreamHub,
-    WindowedCounter,
-    WindowedTally,
+from repro.obs.streaming import LogHistogram, StreamHub
+from repro.obs.streaming.hub import (
+    _BUFFER_CAP,
+    CounterSeries,
+    LatencySeries,
+    TallySeries,
 )
 from repro.obs.streaming.stats import _VECTOR_CUTOFF
 from repro.sim import Simulator
@@ -142,160 +143,88 @@ def test_latency_series_row_is_exact_and_quantiles_bounded():
         assert abs(row[label] - exact) <= exact / LogHistogram.SUBBUCKETS
 
 
-# -- windowed tally vs brute-force oracle ---------------------------------
-def oracle_window(samples, now, window, buckets):
-    """Brute-force trailing-window stats with bucket granularity."""
-    span = window / buckets
-    current = int(now / span)
-    oldest = current - buckets + 1
-    live = [v for t, v in samples if oldest <= int(t / span) <= current]
-    return live
+# -- series windows vs an exact oracle -------------------------------------
+def _burst(n, seed):
+    rng = random.Random(seed)
+    return [rng.uniform(-1e3, 1e3) for _ in range(n)]
 
 
-def assert_rollup_matches_oracle(tally, samples):
-    """``tally`` (window 2.0, 8 buckets) rolled up at its clock's now."""
-    window = tally.rollup()
-    live = oracle_window(samples, tally.clock.now, 2.0, 8)
-    assert window.count == len(live)
-    if live:
-        assert window.mean == pytest.approx(statistics.fmean(live))
-        assert window.minimum == min(live)
-        assert window.maximum == max(live)
-        if len(live) > 1:
-            assert window.variance == pytest.approx(
-                statistics.variance(live), abs=1e-9
-            )
-    # Cumulative side is window-independent.
-    values = [v for _, v in samples]
-    assert tally.count == len(values)
-    assert tally.mean == pytest.approx(statistics.fmean(values))
+def _expected(data):
+    """(mean, variance, min, max) of ``data``; zeros when empty."""
+    if not data:
+        return 0.0, 0.0, 0.0, 0.0
+    variance = statistics.variance(data) if len(data) > 1 else 0.0
+    return statistics.fmean(data), variance, min(data), max(data)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(0.0, 50.0, allow_nan=False),
-            st.floats(-1e3, 1e3, allow_nan=False),
-        ),
-        min_size=1,
-        max_size=200,
-    )
-)
-def test_windowed_tally_rollup_matches_oracle(raw):
-    samples = sorted(raw, key=lambda tv: tv[0])
-    clock = Clock()
-    tally = WindowedTally(clock, window=2.0, buckets=8)
-    for t, v in samples:
-        clock.now = t
-        tally.observe(v)
-    assert_rollup_matches_oracle(tally, samples)
+def assert_tally_row(row, seen, window):
+    mean, variance, low, high = _expected(seen)
+    assert row["count"] == len(seen)
+    assert row["mean"] == pytest.approx(mean, rel=1e-9, abs=1e-9)
+    assert row["stdev"] ** 2 == pytest.approx(variance, rel=1e-9, abs=1e-6)
+    assert (row["min"], row["max"]) == (low, high)
+    mean, _, _, high = _expected(window)
+    assert row["window_count"] == len(window)
+    assert row["window_mean"] == pytest.approx(mean, rel=1e-9, abs=1e-9)
+    assert row["window_max"] == high
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(0.0, 50.0, allow_nan=False),
-            st.floats(-1e3, 1e3, allow_nan=False),
-        ),
-        min_size=_VECTOR_CUTOFF,
-        max_size=200,
-    )
-)
-def test_windowed_tally_rollup_matches_oracle_unsorted(raw):
-    """Late observations must not evict newer buckets from the ring.
-
-    A file server stamps queue depth at arrival but records it at
-    completion, so a tally sees times out of order.  Both fold paths
-    (scalar ``observe`` and the vectorised ``observe_many``) are rolled
-    up at the latest time and checked against the oracle.
-    """
-    now = max(t for t, _ in raw)
-    clock = Clock()
-    scalar = WindowedTally(clock, window=2.0, buckets=8)
-    for t, v in raw:
-        clock.now = t
-        scalar.observe(v)
-    clock.now = now
-    assert_rollup_matches_oracle(scalar, raw)
-    bulk = WindowedTally(clock, window=2.0, buckets=8)
-    bulk.observe_many([t for t, _ in raw], [v for _, v in raw])
-    assert_rollup_matches_oracle(bulk, raw)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(0.0, 20.0, allow_nan=False),
-            st.floats(1e-6, 1e2, allow_nan=False),
-        ),
-        min_size=1,
-        max_size=300,
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("observe"), st.floats(-1e3, 1e3)),
+        # A burst may fill the buffer (once or twice) between samples.
+        st.tuples(st.just("burst"), st.integers(1, _BUFFER_CAP + 1),
+                  st.integers(0, 2**16)),
+        # as_dict() reads (and folds) without closing a window.
+        st.tuples(st.just("peek")),
+        st.tuples(st.just("sample"), st.sampled_from([0.0, 0.25, 1.0, 3.5])),
     ),
-    st.integers(0, 2**32 - 1),
+    max_size=12,
 )
-def test_bulk_fold_matches_scalar_path(raw, _seed):
-    """observe_many/add_many ≡ a loop of observe/add (float tolerance)."""
-    samples = sorted(raw, key=lambda tv: tv[0])
-    times = [t for t, _ in samples]
-    values = [v for _, v in samples]
-
-    c1, c2 = Clock(), Clock()
-    bulk_tally = WindowedTally(c1, window=1.0, buckets=4)
-    bulk_tally.observe_many(times, values)
-    scalar_tally = WindowedTally(c2, window=1.0, buckets=4)
-    for t, v in samples:
-        c2.now = t
-        scalar_tally.observe(v)
-    c1.now = c2.now
-    a, b = bulk_tally.as_dict(), scalar_tally.as_dict()
-    for key in a:
-        assert a[key] == pytest.approx(b[key], rel=1e-9, abs=1e-9), key
-
-    bulk_counter = WindowedCounter(c1, window=1.0, buckets=4)
-    bulk_counter.add_many(times, values)
-    scalar_counter = WindowedCounter(c2, window=1.0, buckets=4)
-    for t, v in samples:
-        c2.now = t
-        scalar_counter.add(v)
-    a, b = bulk_counter.as_dict(), scalar_counter.as_dict()
-    for key in a:
-        assert a[key] == pytest.approx(b[key], rel=1e-9, abs=1e-9), key
 
 
-def test_windowed_counter_rate_and_window():
+@settings(max_examples=60, deadline=None)
+@given(_OPS)
+@example([
+    ("burst", _BUFFER_CAP + 1, 1), ("burst", _BUFFER_CAP, 2),
+    ("sample", 1.0), ("observe", 2.0), ("peek",), ("sample", 0.0),
+    ("sample", 0.25),
+])
+def test_series_windows_match_oracle(ops):
+    """Each row's window holds exactly the observations since the
+    previous sample, and its cumulative fields hold all of them."""
     clock = Clock()
-    counter = WindowedCounter(clock, window=1.0, buckets=4)
-    for i in range(10):
-        clock.now = i * 0.1  # 0.0 .. 0.9: all inside one window
-        counter.add(2.0)
-    assert counter.count == 10
-    assert counter.total == 20.0
-    assert counter.window_count() == 10
-    assert counter.rate() == 10.0
-    clock.now = 5.0  # far future: the whole window is stale
-    assert counter.window_count() == 0
-    assert counter.rate() == 0.0
-    assert counter.count == 10  # cumulative side unaffected
-
-
-def test_windowed_tally_idle_gap_resets_slots():
-    clock = Clock()
-    tally = WindowedTally(clock, window=1.0, buckets=2)
-    clock.now = 0.1
-    tally.observe(100.0)
-    clock.now = 10.0  # long idle: old bucket must not leak back in
-    tally.observe(1.0)
-    window = tally.rollup()
-    assert window.count == 1
-    assert window.mean == 1.0
-    assert tally.count == 2
-
-
-def test_quantile_sketch_validation():
-    with pytest.raises(ConfigError):
-        WindowedTally(Clock(), window=0.0)
-    with pytest.raises(ConfigError):
-        WindowedCounter(Clock(), window=1.0, buckets=0)
+    tally = TallySeries("t")
+    latency = LatencySeries("l")
+    counter = CounterSeries("c", clock)
+    seen: list[float] = []
+    window: list[float] = []
+    since = clock.now
+    for op in ops:
+        if op[0] in ("observe", "burst"):
+            values = [op[1]] if op[0] == "observe" else _burst(*op[1:])
+            for v in values:
+                tally.observe(v)
+                latency.observe(v)
+                counter.add(v)
+            assert len(tally._buf) < _BUFFER_CAP
+            seen += values
+            window += values
+        elif op[0] == "peek":
+            for series in (tally, latency, counter):
+                series.as_dict()
+        else:
+            clock.now += op[1]
+            assert_tally_row(tally.sample_fields(), seen, window)
+            assert_tally_row(latency.sample_fields(), seen, window)
+            row = counter.sample_fields()
+            assert row["count"] == len(seen)
+            assert row["total"] == pytest.approx(math.fsum(seen), abs=1e-6)
+            assert row["window_count"] == len(window)
+            assert row["window_total"] == pytest.approx(
+                math.fsum(window), abs=1e-6
+            )
+            elapsed = clock.now - since
+            assert row["rate"] == (len(window) / elapsed if elapsed else 0.0)
+            window = []
+            since = clock.now

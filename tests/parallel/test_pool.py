@@ -7,7 +7,6 @@ import multiprocessing
 import pytest
 
 from repro.errors import ParallelError, WorkerCrashError
-from repro.obs import MetricsRegistry
 from repro.parallel import resolve_jobs, steal_fanout
 
 from .workers import crash_on_three, seeded_draws, square
@@ -75,20 +74,7 @@ def test_resolve_jobs():
 
 def test_progress_and_metrics():
     lines: list[str] = []
-    metrics = MetricsRegistry()
-    results = results_of(
-        TASKS, square, jobs=2,
-        progress=lines.append, metrics=metrics,
-    )
+    results = results_of(TASKS, square, jobs=2, progress=lines.append)
     assert results == [i * i for i in range(6)]
     assert len(lines) == len(TASKS)
     assert all("done" in line for line in lines)
-    assert metrics.get("parallel.tasks_done").count == len(TASKS)
-    assert metrics.get("parallel.tasks_failed").count == 0
-
-
-def test_failed_metric_increments():
-    metrics = MetricsRegistry()
-    with pytest.raises(WorkerCrashError):
-        results_of([("x", 3)], crash_on_three, jobs=1, metrics=metrics)
-    assert metrics.get("parallel.tasks_failed").count == 1

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ParallelError, WorkerCrashError
-from repro.obs import MetricsRegistry
 from repro.parallel import StealStats, WorkerStats, steal_fanout
 
 from .workers import (
@@ -92,19 +91,6 @@ def test_serial_crash_names_the_unit_and_reports_progress():
 def test_duplicate_unit_id_rejected():
     with pytest.raises(ParallelError, match="duplicate"):
         steal_fanout([("same", 1), ("same", 2)], square, jobs=1)
-
-
-def test_metrics_record_drain_and_task_seconds():
-    metrics = MetricsRegistry()
-    results, _ = steal_fanout(TASKS, square, jobs=1, metrics=metrics)
-    assert results == [i * i for i in range(6)]
-    assert metrics.get("parallel.tasks_done").count == len(TASKS)
-    seconds = metrics.get("parallel.task_seconds")
-    assert seconds.count == len(TASKS)
-    busy = metrics.get("parallel.worker_busy_seconds")
-    assert busy.count == 1  # one pseudo-worker observation
-    drained = metrics.get("parallel.worker_tasks")
-    assert drained.count == 1 and drained.mean == len(TASKS)
 
 
 def test_stats_balance_and_spread():

@@ -1,9 +1,10 @@
 """Tests for measurement helpers."""
 
+import random
+
 import pytest
 
-from repro.sim import Simulator
-from repro.sim.monitor import Counter, IntervalLog, Tally, TimeWeighted
+from repro.sim.monitor import Counter, IntervalLog, Tally
 
 
 def test_counter():
@@ -46,26 +47,25 @@ def test_tally_empty_extrema_are_zero():
     assert t.maximum == -2.0
 
 
-def test_time_weighted_average():
-    sim = Simulator()
-    tw = TimeWeighted(sim, initial=0.0)
-
-    def body():
-        tw.set(2.0)          # level 2 for [0, 4)
-        yield sim.timeout(4.0)
-        tw.set(6.0)          # level 6 for [4, 6)
-        yield sim.timeout(2.0)
-        return tw.average()
-
-    # (2*4 + 6*2) / 6
-    assert sim.run_process(body()) == pytest.approx(20.0 / 6.0)
-
-
-def test_time_weighted_add():
-    sim = Simulator()
-    tw = TimeWeighted(sim, initial=1.0)
-    tw.add(2.0)
-    assert tw.level == 3.0
+def test_tally_merge_matches_observing_each_sample():
+    rng = random.Random(4)
+    data = [rng.uniform(-5.0, 50.0) for _ in range(200)]
+    merged, observed = Tally(), Tally()
+    for start in range(0, len(data), 37):
+        batch = data[start:start + 37]
+        mean = sum(batch) / len(batch)
+        m2 = sum((x - mean) ** 2 for x in batch)
+        merged.merge(len(batch), mean, m2, min(batch), max(batch))
+    for x in data:
+        observed.observe(x)
+    assert merged.count == observed.count
+    assert merged.mean == pytest.approx(observed.mean, rel=1e-12)
+    assert merged.variance == pytest.approx(observed.variance, rel=1e-12)
+    assert (merged.minimum, merged.maximum) == (min(data), max(data))
+    # Into an empty tally a batch lands exactly.
+    first = Tally()
+    first.merge(3, 2.5, 4.5, 1.0, 4.0)
+    assert (first.count, first.mean, first.variance) == (3, 2.5, 2.25)
 
 
 def test_interval_log_merges_overlaps():

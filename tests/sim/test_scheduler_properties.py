@@ -170,62 +170,3 @@ def test_compaction_matches_oracle():
             ops.append(("p", 3))
     ops += [("t", (i * 29 % 41) * 0.01) for i in range(50)]
     assert_matches_oracle(ops)
-
-
-def test_schedule_many_matches_sequential_timeouts():
-    """Bulk scheduling is bit-identical to a loop of sim.timeout()."""
-    delays = [(i * 37 % 1000) * 1.7e-5 for i in range(500)]
-
-    def stream(bulk):
-        sim = Simulator()
-        if bulk:
-            sim.schedule_many(delays)
-        else:
-            for d in delays:
-                sim.timeout(d)
-        out = []
-        while True:
-            ev = sim._pop_merged()
-            if ev is None:
-                return out
-            out.append(sim.now)
-            ev._process()
-
-    assert stream(bulk=True) == stream(bulk=False)
-
-
-def test_schedule_many_absolute_matches_cumulative_chain():
-    """The at= form (sampler tick pre-arming) equals arming each tick
-    from inside the previous tick's callback."""
-    interval = 0.05
-
-    def chained():
-        sim = Simulator()
-        out = []
-
-        def body():
-            for _ in range(32):
-                yield sim.timeout(interval)
-                out.append(sim.now)
-
-        sim.run_process(body())
-        return out
-
-    def bulk():
-        sim = Simulator()
-        out = []
-        times = []
-        t = sim.now
-        for _ in range(32):
-            t += interval
-            times.append(t)
-
-        def body():
-            for tick in sim.schedule_many(at=times):
-                yield tick
-                out.append(sim.now)
-
-        sim.run_process(body())
-        return out
-
-    assert bulk() == chained()

@@ -163,6 +163,10 @@ class S4DCacheMiddleware(IOLayer):
             self.cpfs.create(c_path, hint)
             self.space.register_cache_file(c_path)
         handle.private.setdefault("s4d_cache_path", c_path)
+        # The original file rides on ``handle.pfs_file`` (set by the
+        # direct open); with the cache file here too, a request
+        # resolves no file name.
+        handle.private["s4d_cache_file"] = self.cpfs.open(c_path)
         self._open_files += 1
         # §IV.C: the helper thread is created when the process opens
         # the first file.
@@ -200,7 +204,9 @@ class S4DCacheMiddleware(IOLayer):
         # The request, then the token it carries: one name, so that the
         # finally below releases what was acquired (SIM001).
         token = self.locks.acquire(
-            self._lock_key(handle.path, offset), owner=owner
+            handle.path if self.metadata_shards == 1
+            else self._lock_key(handle.path, offset),
+            owner=owner,
         )
         if sim.take(token):
             token = token.token
@@ -245,15 +251,16 @@ class S4DCacheMiddleware(IOLayer):
                  ctx=NULL_CONTEXT):
         """Issue the planned segments in parallel and merge results."""
         op = plan.op
-        d_handle = self.direct.pfs.open(handle.path)
-        c_handle = self.cpfs.open(handle.private["s4d_cache_path"])
+        d_handle = handle.pfs_file
+        c_handle = handle.private["s4d_cache_file"]
         stamp = next_stamp() if op == OP_WRITE else None
 
         exec_span = None
+        exec_ctx = NULL_CONTEXT
         if ctx is not NULL_CONTEXT:
             exec_span = ctx.begin("execute", cat="middleware",
                                   component="app", steps=len(plan.steps))
-        exec_ctx = ctx.under(exec_span)
+            exec_ctx = ctx.under(exec_span)
         try:
             step_results = yield from self.sim.gather(
                 [self._step_flow(rank, d_handle, c_handle, op, step,

@@ -210,10 +210,13 @@ class Rebuilder:
     def _flush_extent(self, extent: DMTExtent):
         d_handle, c_handle = self.resolve(extent.d_file)
         epoch = extent.dirty_epoch
-        ctx = self.obs.request(
-            -1, "flush", extent.d_file, extent.d_offset, extent.length,
-            name="rebuild_flush", component="rebuilder", cat="rebuilder",
-        )
+        # Untraced movements make no tracer call at all.
+        ctx = None
+        if self.obs is not NULL_TRACER:
+            ctx = self.obs.request(
+                -1, "flush", extent.d_file, extent.d_offset, extent.length,
+                name="rebuild_flush", component="rebuilder", cat="rebuilder",
+            )
         # Pinned while its bytes are in flight.  The periodic process
         # and a foreground drain() can flush the same dirty extent at
         # once; when the other flush lands first the extent turns
@@ -232,7 +235,8 @@ class Rebuilder:
                 priority=self.priority, ctx=ctx,
             )
         finally:
-            ctx.finish()
+            if ctx is not None:
+                ctx.finish()
             extent.pins -= 1
         # The timed write minted a placeholder stamp; the authoritative
         # bytes are the cache extent's, captured *after* the I/O so a
@@ -291,10 +295,13 @@ class Rebuilder:
             if allocation is None:
                 complete = False  # nothing cheap enough to displace
                 continue
-            ctx = self.obs.request(
-                -1, "fetch", entry.d_file, seg_start, seg_size,
-                name="lazy_fetch", component="rebuilder", cat="rebuilder",
-            )
+            ctx = None
+            if self.obs is not NULL_TRACER:
+                ctx = self.obs.request(
+                    -1, "fetch", entry.d_file, seg_start, seg_size,
+                    name="lazy_fetch", component="rebuilder",
+                    cat="rebuilder",
+                )
             try:
                 yield from self.opfs_client.read(
                     d_handle, seg_start, seg_size, priority=self.priority,
@@ -319,7 +326,8 @@ class Rebuilder:
                 # open (simlint OBS001): the trace reported rebuilder
                 # I/O as eternally in-flight and the open_spans
                 # counter grew with every cycle.
-                ctx.finish()
+                if ctx is not None:
+                    ctx.finish()
             # Re-check after the timed I/O: a foreground write may have
             # mapped (part of) this range meanwhile — its data is newer,
             # keep it and discard the fetched copy.

@@ -21,14 +21,15 @@ import dataclasses
 import math
 import typing
 
-import numpy as np
-
 from ..errors import DeviceError
 from ..units import MiB
 from .base import OP_READ, OP_WRITE, StorageDevice
 from .hdd import HDD
 from .seek_profile import SeekProfile
 from .ssd import SSD
+
+if typing.TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 @dataclasses.dataclass(frozen=True)
@@ -162,6 +163,10 @@ class DeviceProfiler:
         self, device: HDD, distances: list[int], seeks: list[float]
     ) -> SeekProfile:
         """Least-squares fit of the two-piece sqrt/linear seek curve."""
+        # numpy loads on the first calibration, not with the package: a
+        # run that needs no calibration never imports it.
+        import numpy as np
+
         bytes_per_cyl = device.spec.profile().bytes_per_cylinder
         total_cyl = device.spec.profile().total_cylinders
         cyls = np.array(
@@ -205,6 +210,8 @@ class DeviceProfiler:
     # -- SSD ----------------------------------------------------------------
     def profile_ssd(self, device: SSD) -> DeviceProfile:
         """Measure per-op latency and large-transfer beta of an SSD."""
+        import numpy as np
+
         device.reset()
         sizes = [256 * 1024, 1 * MiB, 4 * MiB, 16 * MiB]
         betas = {}
@@ -234,6 +241,8 @@ class DeviceProfiler:
 
 def _lstsq(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     """Least squares returning (coefficients, SSE)."""
+    import numpy as np
+
     coeffs, residuals, _, _ = np.linalg.lstsq(a, y, rcond=None)
     if residuals.size:
         sse = float(residuals[0])

@@ -71,9 +71,16 @@ class IntervalMap(typing.Generic[T]):
         """Map ``[start, end)`` to ``value``, overwriting overlaps."""
         if end <= start or start < 0:
             raise ValueError(f"bad range [{start}, {end})")
-        self._clear(start, end, None)
-        idx = bisect.bisect_left(self._starts, start)
-        self._starts.insert(idx, start)
+        starts = self._starts
+        idx = bisect.bisect_left(starts, start)
+        # Only a neighbour can overlap; a range that lands in a gap (a
+        # first write of fresh bytes) is inserted without a clear pass.
+        if (idx and self._ends[idx - 1] > start) or (
+            idx < len(starts) and starts[idx] < end
+        ):
+            self._clear(start, end, None)
+            idx = bisect.bisect_left(starts, start)
+        starts.insert(idx, start)
         self._ends.insert(idx, end)
         self._values.insert(idx, value)
         self._total_bytes += end - start

@@ -84,8 +84,13 @@ class Fabric:
         if src == dst:
             # Local loopback: no NIC involvement, negligible time.
             return self.sim.now
-        sender = self.endpoint(src)
-        receiver = self.endpoint(dst)
+        # ``endpoint()`` inlined: both lookups run on every hop.
+        links = self._links
+        sender = links.get(src)
+        receiver = links.get(dst)
+        if sender is None or receiver is None:
+            self.endpoint(src)
+            self.endpoint(dst)
         # Span bookkeeping is skipped entirely when tracing is off: the
         # begin/end kwargs would otherwise allocate on every hop of
         # every sub-request (the simulation's most-called generator).

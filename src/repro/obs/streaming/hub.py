@@ -327,11 +327,11 @@ class ServerStream:
     service) when it completes.
     """
 
-    __slots__ = ("queue_depth", "service")
+    __slots__ = ("queue_depth", "device_latency")
 
     def __init__(self, hub: StreamHub, name: str):
         self.queue_depth = hub.tally(f"server.{name}.queue_depth")
-        self.service = hub.latency(f"server.{name}.service_time")
+        self.device_latency = hub.latency(f"server.{name}.device_latency")
 
 
 def attach_cluster(cluster: "Cluster", hub: StreamHub) -> None:

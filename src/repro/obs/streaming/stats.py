@@ -18,12 +18,11 @@ from __future__ import annotations
 import math
 import typing
 
-import numpy as np
-
 #: Below this many observations a batch fold runs the scalar loop;
 #: numpy's per-call overhead only pays for itself on larger batches
 #: (measured breakeven: about 60 elements for the histogram fold and
-#: about 130 for :func:`moments`).
+#: about 130 for :func:`moments`).  numpy is imported by the first fold
+#: at or above it, so a run that folds no such batch never loads it.
 _VECTOR_CUTOFF = 64
 
 
@@ -43,6 +42,8 @@ def moments(values) -> tuple[int, float, float, float, float]:
             d = v - mean
             m2 += d * d
         return n, mean, m2, float(min(values)), float(max(values))
+    import numpy as np
+
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
     centered = arr - mean
@@ -125,6 +126,8 @@ class LogHistogram:
             for v in values:
                 self.observe(v)
             return
+        import numpy as np
+
         values = np.asarray(values, dtype=float)
         self.count += n
         vmin = float(values.min())

@@ -231,18 +231,30 @@ class OSCache:
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
-    def write(self, offset: int, size: int, priority: int,
-              ctx: "TraceContext | None" = None):
-        """Process generator timing one write (absorb + backpressure)."""
-        if ctx is None:
-            ctx = NULL_CONTEXT
+    def absorb(self, offset: int, size: int) -> bool:
+        """Take one write into the page cache; True when its writer must
+        then wait in :meth:`throttle`.
+
+        A write below the dirty budget completes here, with no
+        generator to run; only one that leaves more than ``dirty_high``
+        bytes dirty pays for backpressure.
+        """
         self._add_dirty(offset, offset + size)
         self.writes_absorbed += 1
         self._ensure_drainer()
-        if self._dirty_bytes <= self.spec.dirty_high:
-            return
-        span = ctx.begin("writeback_throttle", cat="oscache",
-                         component=self.name, size=size)
+        return self._dirty_bytes > self.spec.dirty_high
+
+    def throttle(self, size: int, ctx: "TraceContext | None" = None):
+        """Process generator: hold the writer of an absorbed ``size``-byte
+        write until write-back has brought dirty bytes within
+        ``dirty_high`` (the drainer wakes writers at ``dirty_low``).
+
+        Call it right after :meth:`absorb` returned True.
+        """
+        span = None
+        if ctx is not None and ctx is not NULL_CONTEXT:
+            span = ctx.begin("writeback_throttle", cat="oscache",
+                             component=self.name, size=size)
         try:
             while self._dirty_bytes > self.spec.dirty_high:
                 self.writes_throttled += 1
@@ -250,7 +262,8 @@ class OSCache:
                 self._write_waiters.append(gate)
                 yield gate
         finally:
-            ctx.end(span)
+            if span is not None:
+                ctx.end(span)
 
     def _add_dirty(self, start: int, end: int) -> None:
         """Insert [start, end) into the sorted runs, merging."""

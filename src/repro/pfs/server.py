@@ -86,7 +86,8 @@ class FileServer:
             os_cache = self.os_cache
             if os_cache is not None:
                 if op == OP_WRITE:
-                    yield from os_cache.write(offset, size, priority)
+                    if os_cache.absorb(offset, size):
+                        yield from os_cache.throttle(size)
                 elif op == OP_READ:
                     yield from os_cache.read(offset, size, priority)
                 else:  # defensive: let the device reject unknown ops
@@ -102,8 +103,8 @@ class FileServer:
                     yield sim.timeout(overhead)
                 if self.os_cache is not None:
                     if op == OP_WRITE:
-                        yield from self.os_cache.write(offset, size, priority,
-                                                       ctx=ctx)
+                        if self.os_cache.absorb(offset, size):
+                            yield from self.os_cache.throttle(size, ctx=ctx)
                     elif op == OP_READ:
                         yield from self.os_cache.read(offset, size, priority,
                                                       ctx=ctx)
@@ -140,7 +141,7 @@ class FileServer:
                 self.queue.release(grant)
             self.busy_log.record(start, sim.now, op)
             if stream is not None:
-                stream.service.observe(sim.now - arrival)
+                stream.device_latency.observe(sim.now - arrival)
             return
         wait_span = ctx.begin("queue_wait", cat="server",
                               component=self.name, op=op)
@@ -163,7 +164,7 @@ class FileServer:
             self.queue.release(grant)
         self.busy_log.record(start, sim.now, op)
         if stream is not None:
-            stream.service.observe(sim.now - arrival)
+            stream.device_latency.observe(sim.now - arrival)
 
     def utilisation(self) -> float:
         """Fraction of elapsed simulation time the device was busy."""

@@ -72,7 +72,7 @@ class Process(Event):
     @property
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
-        return not self.triggered
+        return not self._triggered
 
     def kill(self, reason: str = "") -> None:
         """Throw :class:`ProcessKilled` into the process at the current time.

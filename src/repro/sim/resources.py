@@ -156,7 +156,7 @@ class PriorityResource:
             raise SimulationError("grant released on the wrong resource")
         if grant.released:
             raise SimulationError("double release of a resource grant")
-        if not grant.triggered:
+        if not grant._triggered:
             raise SimulationError("release of a grant that was never acquired")
         grant.released = True
         if self._waiters:

@@ -93,8 +93,12 @@ def test_zero_capacity_never_allocates():
 
 def test_unregistered_file_rejected():
     space = CacheSpace(100)
-    with pytest.raises(CacheError):
+    with pytest.raises(CacheError, match="unregistered cache file"):
         space.find_free_space("/ghost", 10)
+    with pytest.raises(CacheError, match="unregistered cache file"):
+        space.find_clean_space("/ghost", 10, DMT())
+    with pytest.raises(CacheError, match="unregistered cache file"):
+        space.release("/ghost", 0, 10)
 
 
 def test_bad_sizes_rejected():

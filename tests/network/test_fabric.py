@@ -90,15 +90,17 @@ def test_rate_limited_by_slower_endpoint():
 
 
 def test_unknown_endpoint_rejected():
-    sim = Simulator()
-    fabric = make_fabric(sim)
+    for src, dst in (("c0", "nowhere"), ("nowhere", "s0")):
+        sim = Simulator()
+        fabric = make_fabric(sim)
 
-    def body():
-        yield from fabric.transfer("c0", "nowhere", 10)
+        def body():
+            yield from fabric.transfer(src, dst, 10)
 
-    sim.spawn(body())
-    with pytest.raises(NetworkError):
-        sim.run()
+        sim.spawn(body())
+        with pytest.raises(NetworkError,
+                           match="^unknown network endpoint 'nowhere'$"):
+            sim.run()
 
 
 def test_stats_accumulate():

@@ -206,3 +206,45 @@ def test_ssd_servers_have_no_os_cache_by_default():
     assert server.os_cache is None
     hdd_server = make_server(sim)
     assert hdd_server.os_cache is not None
+
+
+def test_throttled_burst_is_the_same_traced_and_untraced():
+    """A write burst past the dirty budget takes ``serve``'s absorb and
+    throttle path; tracing it records the waits and changes nothing."""
+    from repro.obs import Tracer
+
+    def burst(traced):
+        sim = Simulator(seed=8)
+        server = make_server(sim, dirty_high=128 * KiB, dirty_low=64 * KiB)
+        tracer = Tracer(sim) if traced else None
+        rng = sim.rng.stream("t")
+        offsets = [rng.randrange(0, 2**14) * 32 * KiB for _ in range(24)]
+        done = {}
+
+        def writer(index, offset):
+            ctx = None
+            if tracer is not None:
+                ctx = tracer.request(index, "write", "/f", offset, 16 * KiB)
+            try:
+                yield from server.serve("write", offset, 16 * KiB, ctx=ctx)
+            finally:
+                if ctx is not None:
+                    ctx.finish()
+            done[index] = sim.now
+
+        for index, offset in enumerate(offsets):
+            sim.spawn(writer(index, offset))
+        sim.run()
+        oc = server.os_cache
+        counts = (oc.writes_absorbed, oc.writes_throttled, oc.dirty_bytes)
+        return counts, [done[i] for i in range(len(offsets))], tracer
+
+    plain_counts, plain_done, _ = burst(traced=False)
+    traced_counts, traced_done, tracer = burst(traced=True)
+    assert plain_counts[1] > 0  # the burst did throttle
+    assert traced_counts == plain_counts
+    assert traced_done == plain_done
+    waits = [s for s in tracer.spans if s.name == "writeback_throttle"]
+    assert waits
+    assert all(s.end is not None and s.end > s.start for s in waits)
+    assert all(s.attrs["size"] == 16 * KiB for s in waits)

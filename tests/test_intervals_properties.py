@@ -102,6 +102,36 @@ def test_random_ops_match_byte_oracle(seed):
     )
 
 
+@pytest.mark.parametrize("entries, new", [
+    # A gap whose neighbours touch it at both ends.
+    ([(10, 20), (30, 40)], (20, 30)),
+    # The map's first position, touching the first entry.
+    ([(10, 20), (30, 40)], (0, 10)),
+    # The map's last position, touching the last entry.
+    ([(10, 20), (30, 40)], (40, 50)),
+    # An empty map.
+    ([], (5, 15)),
+    # One byte into the left, then the right neighbour: these must
+    # clear, not insert beside the neighbour.
+    ([(10, 21), (30, 40)], (20, 30)),
+    ([(10, 20), (29, 40)], (20, 30)),
+])
+def test_set_into_gaps_and_edges_matches_byte_oracle(entries, new):
+    imap: IntervalMap = IntervalMap()
+    oracle = ByteOracle()
+    for start, end in entries:
+        imap.set(start, end, ("old", start))
+        oracle.set(start, end, ("old", start))
+    imap.set(new[0], new[1], "new")
+    oracle.set(new[0], new[1], "new")
+    imap.check_invariants()
+    assert flatten_lookup(imap.lookup(0, SPACE), 0, SPACE) == (
+        oracle.lookup_values(0, SPACE)
+    )
+    assert imap.total_bytes == sum(1 for v in oracle.bytes if v is not None)
+    assert len(imap) == len(entries) + 1
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_overlapping_is_unclipped_and_ordered(seed):
     rng = random.Random(1000 + seed)

@@ -149,6 +149,10 @@ class CARLPlacementLayer(IOLayer):
             # The SSD file mirrors the original's address space for the
             # placed regions (sparse elsewhere).
             self.cpfs.create(ssd, max(size_hint, 1))
+        # The original file rides on ``handle.pfs_file`` (set by the
+        # direct open); with the SSD file here too, a request resolves
+        # no file name.
+        handle.private["carl_ssd_file"] = self.cpfs.open(ssd)
         return handle
 
     def close(self, rank: int, handle: FileHandle):
@@ -164,8 +168,8 @@ class CARLPlacementLayer(IOLayer):
             else [(offset, offset + size, None)]
         )
         stamp = next_stamp() if op == OP_WRITE else None
-        d_handle = self.direct.pfs.open(handle.path)
-        s_handle = self.cpfs.open(self.ssd_path(handle.path))
+        d_handle = handle.pfs_file
+        s_handle = handle.private["carl_ssd_file"]
 
         start = self.sim.now
         results = yield from self.sim.gather(

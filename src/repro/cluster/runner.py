@@ -19,6 +19,7 @@ import typing
 from ..errors import ExperimentError
 from ..mpiio import MPIJob
 from ..mpiio.job import RankStats
+from ..obs.streaming import active_telemetry
 from ..workloads import Workload
 from .builder import Cluster, build_cluster
 from .spec import ClusterSpec
@@ -116,8 +117,6 @@ def run_workload(
     if obs is not None:
         obs.bind(cluster)
     if telemetry is None:
-        from ..obs.streaming import active_telemetry
-
         telemetry = active_telemetry()
     if telemetry is not None:
         telemetry.begin_run(cluster)

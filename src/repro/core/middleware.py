@@ -29,7 +29,6 @@ from ..devices.base import OP_WRITE
 from ..errors import CacheError
 from ..kvstore import HashDB, LockManager
 from ..mpiio.api import DirectIO, FileHandle, IOLayer
-from ..obs import NULL_CONTEXT
 from ..pfs import PFS, IOResult, PFSClient
 from ..pfs.content import merge_stamp_segments, next_stamp
 from ..sim.resources import PRIORITY_NORMAL
@@ -177,13 +176,10 @@ class S4DCacheMiddleware(IOLayer):
     def io(self, rank: int, handle: FileHandle, op: str, offset: int, size: int,
            priority: int = PRIORITY_NORMAL, ctx=None):
         """§IV.B MPI_File_read / MPI_File_write."""
-        if ctx is None:
-            ctx = NULL_CONTEXT
-        traced = ctx is not NULL_CONTEXT
         sim = self.sim
         start = sim.now
         # Identifier + Redirector bookkeeping costs (measured by Fig. 11).
-        if traced:
+        if ctx is not None:
             id_span = ctx.begin("benefit_eval", cat="middleware",
                                 component="app", op=op)
         if not sim.advance(self.lookup_overhead):
@@ -191,7 +187,7 @@ class S4DCacheMiddleware(IOLayer):
         benefit, cdt_entry = self.identifier.observe(
             rank, handle.path, op, offset, size
         )
-        if traced:
+        if ctx is not None:
             ctx.end(id_span, benefit=benefit, critical=cdt_entry is not None)
             # Metadata decisions are serialised per file (§III.D's DMT
             # lock) — or per (file, offset-shard) when distributed
@@ -212,7 +208,7 @@ class S4DCacheMiddleware(IOLayer):
             token = token.token
         else:
             token = yield token
-        if traced:
+        if ctx is not None:
             ctx.end(wait_span)
         try:
             plan = self.redirector.route(
@@ -226,14 +222,14 @@ class S4DCacheMiddleware(IOLayer):
             )
             if plan.metadata_mutations:
                 # Synchronous DMT persistence (§III.D).
-                if traced:
+                if ctx is not None:
                     sync_span = ctx.begin("metadata_sync", cat="middleware",
                                           component="app",
                                           mutations=plan.metadata_mutations)
                 sync = plan.metadata_mutations * self.metadata_sync_cost
                 if not sim.advance(sync):
                     yield sim.timeout(sync)
-                if traced:
+                if ctx is not None:
                     ctx.end(sync_span)
         finally:
             self.locks.release(token)
@@ -248,7 +244,7 @@ class S4DCacheMiddleware(IOLayer):
         return result
 
     def _execute(self, rank, handle, plan, offset, size, priority, start,
-                 ctx=NULL_CONTEXT):
+                 ctx=None):
         """Issue the planned segments in parallel and merge results."""
         op = plan.op
         d_handle = handle.pfs_file
@@ -256,8 +252,8 @@ class S4DCacheMiddleware(IOLayer):
         stamp = next_stamp() if op == OP_WRITE else None
 
         exec_span = None
-        exec_ctx = NULL_CONTEXT
-        if ctx is not NULL_CONTEXT:
+        exec_ctx = None
+        if ctx is not None:
             exec_span = ctx.begin("execute", cat="middleware",
                                   component="app", steps=len(plan.steps))
             exec_ctx = ctx.under(exec_span)
@@ -285,40 +281,26 @@ class S4DCacheMiddleware(IOLayer):
                         servers_touched, segments, stamp, plan.cserver_bytes)
 
     def _step_flow(self, rank, d_handle, c_handle, op, step: RouteStep,
-                   stamp, priority, ctx=NULL_CONTEXT):
-        """One segment's I/O on its target file system."""
-        span = None
-        if ctx is not NULL_CONTEXT:
-            span = ctx.begin(f"segment:{step.target}", cat="middleware",
-                             component="app", size=step.size)
-            ctx = ctx.under(span)
-        try:
-            if step.target == TO_CSERVERS:
-                client = self.cpfs_client_for(rank)
-                if op == OP_WRITE:
-                    result = yield from client.write(
-                        c_handle, step.c_offset, step.size, priority,
-                        stamp=stamp, ctx=ctx
-                    )
-                else:
-                    result = yield from client.read(
-                        c_handle, step.c_offset, step.size, priority, ctx=ctx
-                    )
-            else:
-                client = self.direct.client_for(rank)
-                if op == OP_WRITE:
-                    result = yield from client.write(
-                        d_handle, step.d_offset, step.size, priority,
-                        stamp=stamp, ctx=ctx
-                    )
-                else:
-                    result = yield from client.read(
-                        d_handle, step.d_offset, step.size, priority, ctx=ctx
-                    )
-        finally:
-            if span is not None:
-                ctx.end(span)
-        return result
+                   stamp, priority, ctx=None):
+        """One segment's I/O on its target file system.
+
+        Not a generator itself: it picks the client, file and offset
+        and hands back the client's request generator (as
+        :meth:`DirectIO.io` does), whose ``pfs_io:<fs>`` span records
+        the segment when traced.
+        """
+        if step.target == TO_CSERVERS:
+            client = self.cpfs_client_for(rank)
+            handle = c_handle
+            offset = step.c_offset
+        else:
+            client = self.direct.client_for(rank)
+            handle = d_handle
+            offset = step.d_offset
+        if op == OP_WRITE:
+            return client.write(handle, offset, step.size, priority,
+                                stamp=stamp, ctx=ctx)
+        return client.read(handle, offset, step.size, priority, ctx=ctx)
 
     @staticmethod
     def _merge_read_segments(steps, step_results):

@@ -30,7 +30,6 @@ import operator
 import typing
 
 from ..errors import ProcessKilled
-from ..obs import NULL_TRACER
 from ..pfs import PFSClient, PFSFile
 from ..sim.resources import PRIORITY_LOW
 from .metrics import CacheMetrics
@@ -89,8 +88,8 @@ class Rebuilder:
         self.cycles = 0
         self._proc = None
         self._active_batch: list = []
-        #: Observability tracer (replaced by Tracer.bind).
-        self.obs = NULL_TRACER
+        #: Observability tracer, or None (Tracer.bind sets it).
+        self.obs = None
 
     # -- lifecycle --------------------------------------------------------
     def start(self) -> None:
@@ -212,7 +211,7 @@ class Rebuilder:
         epoch = extent.dirty_epoch
         # Untraced movements make no tracer call at all.
         ctx = None
-        if self.obs is not NULL_TRACER:
+        if self.obs is not None:
             ctx = self.obs.request(
                 -1, "flush", extent.d_file, extent.d_offset, extent.length,
                 name="rebuild_flush", component="rebuilder", cat="rebuilder",
@@ -296,7 +295,7 @@ class Rebuilder:
                 complete = False  # nothing cheap enough to displace
                 continue
             ctx = None
-            if self.obs is not NULL_TRACER:
+            if self.obs is not None:
                 ctx = self.obs.request(
                     -1, "fetch", entry.d_file, seg_start, seg_size,
                     name="lazy_fetch", component="rebuilder",

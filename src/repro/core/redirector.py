@@ -29,7 +29,6 @@ import operator
 
 from ..devices.base import OP_READ, OP_WRITE
 from ..errors import CacheError
-from ..obs import NULL_CONTEXT
 from .metrics import CacheMetrics
 from .space import CacheSpace
 from .tables import CDT, CDTEntry, DMT, DMTExtent
@@ -129,7 +128,7 @@ class Redirector:
         if op not in (OP_READ, OP_WRITE):
             raise CacheError(f"unknown op {op!r}")
         span = None
-        if ctx is not None and ctx is not NULL_CONTEXT:
+        if ctx is not None:
             span = ctx.begin("route", cat="middleware", component="app",
                              op=op)
         steps: list[RouteStep] = []

@@ -17,21 +17,11 @@ from .analysis import (
     randomness_ratio,
     request_distribution,
 )
-from .signature import (
-    RankSignature,
-    TraceReport,
-    analyse_trace,
-    extract_rank_signature,
-)
 from .tracer import TraceRecord, trace_records
 
 __all__ = [
-    "RankSignature",
     "TraceRecord",
-    "TraceReport",
-    "analyse_trace",
     "detect_signature",
-    "extract_rank_signature",
     "randomness_ratio",
     "request_distribution",
     "trace_records",

@@ -19,7 +19,6 @@ import typing
 from ..devices.base import OP_READ, OP_WRITE
 from ..errors import MPIIOError
 from ..network import Fabric
-from ..obs import NULL_TRACER
 from ..pfs import PFS, IOResult, PFSClient, PFSFile
 from ..sim.resources import PRIORITY_NORMAL
 
@@ -53,13 +52,13 @@ class IOLayer(abc.ABC):
 
     ``ctx`` on :meth:`io` is the request's observability context
     (:class:`~repro.obs.TraceContext`); layers thread it down the
-    stack and open spans on it.  It defaults to None (no tracing) and
-    the class-level ``obs`` tracer hands out contexts — the disabled
-    default is the zero-cost :data:`~repro.obs.NULL_TRACER`.
+    stack and open spans on it.  It defaults to None (no tracing), and
+    the ``obs`` tracer hands out contexts only when one is attached.
     """
 
-    #: The attached tracer; :meth:`repro.obs.Tracer.bind` replaces it.
-    obs = NULL_TRACER
+    #: The attached tracer, or None; :meth:`repro.obs.Tracer.bind`
+    #: sets it.
+    obs = None
 
     @abc.abstractmethod
     def open(self, rank: int, path: str, size_hint: int):
@@ -199,7 +198,7 @@ class MPIFile:
             self._check_open()
         layer = self.layer
         ctx = None
-        if layer.obs is not NULL_TRACER:
+        if layer.obs is not None:
             ctx = layer.obs.request(self.rank, OP_READ, self.handle.path,
                                     offset, size)
         try:
@@ -217,7 +216,7 @@ class MPIFile:
             self._check_open()
         layer = self.layer
         ctx = None
-        if layer.obs is not NULL_TRACER:
+        if layer.obs is not None:
             ctx = layer.obs.request(self.rank, OP_WRITE, self.handle.path,
                                     offset, size)
         try:

@@ -6,7 +6,6 @@ import dataclasses
 import typing
 
 from ..errors import ConfigError, NetworkError
-from ..obs import NULL_CONTEXT
 from ..sim.resources import PRIORITY_NORMAL
 from ..units import MiB
 from .link import Link
@@ -95,7 +94,7 @@ class Fabric:
         # begin/end kwargs would otherwise allocate on every hop of
         # every sub-request (the simulation's most-called generator).
         span = None
-        if ctx is not None and ctx is not NULL_CONTEXT:
+        if ctx is not None:
             span = ctx.begin(
                 "transfer", cat="network", component=f"nic:{src}",
                 src=src, dst=dst, size=size,

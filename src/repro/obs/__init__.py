@@ -1,13 +1,13 @@
 """``repro.obs`` — end-to-end request tracing and unified telemetry.
 
-Three pieces:
+Four pieces:
 
 - **Tracing** (:class:`Tracer`, :class:`TraceContext`): a per-request
   context threaded from the MPI-IO API down through the middleware,
   PFS client/servers, devices and network, recording nested sim-time
-  spans.  Zero-cost when disabled (:data:`NULL_TRACER` /
-  :data:`NULL_CONTEXT` no-ops) and guaranteed not to perturb event
-  order or randomness when enabled.
+  spans.  Zero-cost when disabled (a layer's ``obs`` and a request's
+  ``ctx`` are then None, and no tracer call is made) and guaranteed
+  not to perturb event order or randomness when enabled.
 - **Export** (:func:`write_chrome`, :func:`write_jsonl`): Chrome
   trace-event JSON (open in https://ui.perfetto.dev — one process per
   server/device/NIC, one thread per MPI rank) and line-oriented JSONL.
@@ -22,7 +22,7 @@ Three pieces:
 Entry point: ``python -m repro trace --workload ior ...``.
 """
 
-from .context import NULL_CONTEXT, Span, TraceContext
+from .context import Span, TraceContext
 from .export import (
     component_pids,
     span_lines,
@@ -35,11 +35,9 @@ from .export import (
 from .metrics import MetricsRegistry, registry_for_cluster, summarize
 from .streaming import StreamHub, StreamTelemetry, active_telemetry
 from .summary import BreakdownRow, latency_breakdown, render_breakdown
-from .tracer import NULL_TRACER, Tracer, TracerStats
+from .tracer import Tracer, TracerStats
 
 __all__ = [
-    "NULL_CONTEXT",
-    "NULL_TRACER",
     "BreakdownRow",
     "MetricsRegistry",
     "Span",

@@ -9,10 +9,12 @@ events (``event``); parent/child nesting is explicit via
 hang off a given span — that makes nesting correct even when sub-flows
 run concurrently.
 
-When tracing is off, every layer receives :data:`NULL_CONTEXT`, whose
-methods do nothing and allocate nothing: tracing must be zero-cost when
-disabled (no RNG draws, no simulator events, no behavioural change —
-the determinism regression test enforces this).
+When tracing is off, every layer receives ``ctx=None`` and opens no
+span: each traced function begins its span only ``if ctx is not None``
+and ends it in ``finally`` only if it was begun.  Tracing therefore
+costs nothing when disabled and never changes what it observes (no RNG
+draws, no simulator events — the determinism regression test enforces
+this).
 """
 
 from __future__ import annotations
@@ -101,8 +103,6 @@ class TraceContext:
 
     __slots__ = ("tracer", "trace_id", "tid", "root", "parent")
 
-    enabled = True
-
     def __init__(
         self,
         tracer: "Tracer",
@@ -118,9 +118,6 @@ class TraceContext:
         self.root = root
         #: Default parent for spans begun on this context.
         self.parent = parent
-
-    def __bool__(self) -> bool:
-        return True
 
     def begin(self, name: str, cat: str, component: str, **attrs) -> Span:
         """Open a child span; close it with :meth:`end`."""
@@ -148,41 +145,3 @@ class TraceContext:
         if root is not None and root.end is None:
             self.tracer._end(root, attrs)
 
-
-class _NullContext:
-    """The do-nothing context used when tracing is disabled.
-
-    A singleton; every method is a no-op, ``begin`` returns None so
-    ``end(None)`` short-circuits, and ``under``/``finish`` keep the
-    null-ness sticky down the call tree.
-    """
-
-    __slots__ = ()
-
-    enabled = False
-    root = None
-    parent = None
-    tid = -1
-    trace_id = -1
-
-    def __bool__(self) -> bool:
-        return False
-
-    def begin(self, name, cat, component, **attrs):
-        return None
-
-    def end(self, span, **attrs):
-        return None
-
-    def event(self, name, cat, component, **attrs):
-        return None
-
-    def under(self, span) -> "_NullContext":
-        return self
-
-    def finish(self, **attrs) -> None:
-        return None
-
-
-#: Shared no-op context: the default for every ``ctx`` parameter.
-NULL_CONTEXT = _NullContext()

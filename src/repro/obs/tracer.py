@@ -4,10 +4,10 @@ One :class:`Tracer` is bound to one simulation run (``bind(cluster)``
 or ``Tracer(sim)``); the I/O layers obtain per-request
 :class:`~repro.obs.context.TraceContext` handles from it via
 :meth:`Tracer.request` and record spans as the request descends the
-stack.  When no tracer is attached the layers see
-:data:`NULL_TRACER`, whose ``request`` hands back the shared no-op
-context — the disabled path allocates nothing and draws no randomness,
-so enabling/disabling tracing can never change simulated results.
+stack.  When no tracer is attached a layer's ``obs`` is None and its
+requests carry ``ctx=None``: the disabled path makes no tracer call,
+allocates nothing and draws no randomness, so enabling/disabling
+tracing can never change simulated results.
 
 The tracer profiles itself: wall-clock seconds spent recording and the
 number of spans/events captured are exposed via :meth:`Tracer.stats`
@@ -20,7 +20,7 @@ import dataclasses
 import time
 import typing
 
-from .context import NULL_CONTEXT, Span, TraceContext
+from .context import Span, TraceContext
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from ..sim import Simulator
@@ -55,8 +55,6 @@ class TracerStats:
 
 class Tracer:
     """Records spans against one simulator's clock."""
-
-    enabled = True
 
     def __init__(self, sim: "Simulator | None" = None):
         self.sim = sim
@@ -186,18 +184,3 @@ class Tracer:
     def __len__(self) -> int:
         return len(self.spans)
 
-
-class _NullTracer:
-    """Stand-in when tracing is off: hands out the no-op context."""
-
-    __slots__ = ()
-
-    enabled = False
-
-    def request(self, rank, op, path, offset, size, name=None,
-                component="app", cat="mpiio"):
-        return NULL_CONTEXT
-
-
-#: Shared disabled tracer; the default ``obs`` of every I/O layer.
-NULL_TRACER = _NullTracer()

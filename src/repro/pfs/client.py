@@ -8,7 +8,6 @@ import typing
 from ..devices.base import OP_READ, OP_WRITE
 from ..errors import PFSError
 from ..network import Fabric
-from ..obs import NULL_CONTEXT
 from ..sim.resources import PRIORITY_NORMAL
 from .content import next_stamp
 from .filesystem import PFS, PFSFile
@@ -149,11 +148,13 @@ class PFSClient:
             count = len(subs)
         self.subrequests_issued += count
         span = None
-        sub_ctx = NULL_CONTEXT
-        if ctx is not None and ctx is not NULL_CONTEXT:
+        sub_ctx = None
+        if ctx is not None:
+            # Named by its file system, so a breakdown splits DServer
+            # time from CServer time.
             span = ctx.begin(
-                "pfs_io", cat="pfs", component="app",
-                fs=self.pfs.name, endpoint=self.endpoint,
+                "pfs_io:" + self.pfs.name, cat="pfs", component="app",
+                fs=self.pfs.name, size=size, endpoint=self.endpoint,
                 sub_requests=count,
             )
             sub_ctx = ctx.under(span)
@@ -195,13 +196,12 @@ class PFSClient:
         return IOResult(op, handle.name, offset, size, start, self.sim.now,
                         touched, segments, stamp)
 
-    def _sub_flow(self, op, handle: PFSFile, sub, priority,
-                  ctx=NULL_CONTEXT):
+    def _sub_flow(self, op, handle: PFSFile, sub, priority, ctx=None):
         """One sub-request's full round trip."""
         server = self.pfs.servers[sub.server]
         address = handle.local_address(sub.server, sub.local_offset, sub.length)
         span = None
-        if ctx is not NULL_CONTEXT:
+        if ctx is not None:
             span = ctx.begin(
                 "sub_request", cat="pfs", component=server.name,
                 op=op, size=sub.length,

@@ -31,7 +31,6 @@ import dataclasses
 import typing
 
 from ..errors import ConfigError
-from ..obs import NULL_CONTEXT
 from ..sim.resources import PRIORITY_LOW
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -131,8 +130,6 @@ class OSCache:
     def read(self, offset: int, size: int, priority: int,
              ctx: "TraceContext | None" = None):
         """Process generator timing one read."""
-        if ctx is None:
-            ctx = NULL_CONTEXT
         spec = self.spec
         if size >= spec.readahead_max:
             # Large request: direct device read, no window bookkeeping.
@@ -141,7 +138,7 @@ class OSCache:
             return
         if self._in_dirty(offset, size):
             self.read_hits += 1  # data still in the page cache (dirty)
-            if ctx is not NULL_CONTEXT:
+            if ctx is not None:
                 ctx.event("oscache_hit", cat="oscache", component=self.name,
                           kind="dirty", size=size)
             return
@@ -151,7 +148,7 @@ class OSCache:
             and offset + size <= stream.buffered_until
         ):
             self.read_hits += 1
-            if ctx is not NULL_CONTEXT:
+            if ctx is not None:
                 ctx.event("oscache_hit", cat="oscache", component=self.name,
                           kind="readahead", size=size)
             self._maybe_prefetch(stream, offset + size)
@@ -252,7 +249,7 @@ class OSCache:
         Call it right after :meth:`absorb` returned True.
         """
         span = None
-        if ctx is not None and ctx is not NULL_CONTEXT:
+        if ctx is not None:
             span = ctx.begin("writeback_throttle", cat="oscache",
                              component=self.name, size=size)
         try:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import typing
 
 from ..devices.base import OP_READ, OP_WRITE, StorageDevice
-from ..obs import NULL_CONTEXT
 from ..sim import PriorityResource
 from ..sim.monitor import IntervalLog
 from ..sim.resources import PRIORITY_NORMAL
@@ -72,49 +71,32 @@ class FileServer:
 
         Returns the elapsed foreground time (absorbed writes return
         quickly; their device work continues in the background).
-
-        The untraced path (the default for every experiment run) skips
-        span bookkeeping entirely — the begin/end kwargs would allocate
-        once per sub-request.
         """
         sim = self.sim
         start = sim.now
         overhead = self.software_overhead
-        if ctx is None or ctx is NULL_CONTEXT:
+        span = None
+        if ctx is not None:
+            span = ctx.begin("service", cat="server", component=self.name,
+                             op=op, size=size)
+            ctx = ctx.under(span)
+        try:
             if not sim.advance(overhead):
                 yield sim.timeout(overhead)
             os_cache = self.os_cache
             if os_cache is not None:
                 if op == OP_WRITE:
                     if os_cache.absorb(offset, size):
-                        yield from os_cache.throttle(size)
+                        yield from os_cache.throttle(size, ctx)
                 elif op == OP_READ:
-                    yield from os_cache.read(offset, size, priority)
+                    yield from os_cache.read(offset, size, priority, ctx)
                 else:  # defensive: let the device reject unknown ops
-                    yield from self._device_op(op, offset, size, priority)
-            else:
-                yield from self._device_op(op, offset, size, priority)
-        else:
-            span = ctx.begin("service", cat="server", component=self.name,
-                             op=op, size=size)
-            ctx = ctx.under(span)
-            try:
-                if not sim.advance(overhead):
-                    yield sim.timeout(overhead)
-                if self.os_cache is not None:
-                    if op == OP_WRITE:
-                        if self.os_cache.absorb(offset, size):
-                            yield from self.os_cache.throttle(size, ctx=ctx)
-                    elif op == OP_READ:
-                        yield from self.os_cache.read(offset, size, priority,
-                                                      ctx=ctx)
-                    else:  # defensive: let the device reject unknown ops
-                        yield from self._device_op(op, offset, size, priority,
-                                                   ctx=ctx)
-                else:
                     yield from self._device_op(op, offset, size, priority,
-                                               ctx=ctx)
-            finally:
+                                               ctx)
+            else:
+                yield from self._device_op(op, offset, size, priority, ctx)
+        finally:
+            if span is not None:
                 ctx.end(span)
         self.requests_served += 1
         self.bytes_served += size
@@ -128,39 +110,28 @@ class FileServer:
         if stream is not None:
             arrival = sim.now
             stream.queue_depth.observe(self.queue.queue_length)
-        if ctx is None or ctx is NULL_CONTEXT:
-            grant = self.queue.acquire(priority)
-            if not sim.take(grant):
-                yield grant
-            start = sim.now
-            try:
-                elapsed = self.device.service_time(op, offset, size, self._rng)
-                if not sim.advance(elapsed):
-                    yield sim.timeout(elapsed)
-            finally:
-                self.queue.release(grant)
-            self.busy_log.record(start, sim.now, op)
-            if stream is not None:
-                stream.device_latency.observe(sim.now - arrival)
-            return
-        wait_span = ctx.begin("queue_wait", cat="server",
-                              component=self.name, op=op)
+        wait_span = dev_span = None
+        if ctx is not None:
+            wait_span = ctx.begin("queue_wait", cat="server",
+                                  component=self.name, op=op)
         grant = self.queue.acquire(priority)
         if not sim.take(grant):
             yield grant
-        ctx.end(wait_span, queue_length=self.queue.queue_length)
+        if ctx is not None:
+            ctx.end(wait_span, queue_length=self.queue.queue_length)
+            dev_span = ctx.begin(
+                "device_service", cat="device",
+                component=f"{self.name}/{self.device.name}",
+                op=op, size=size,
+            )
         start = sim.now
-        dev_span = ctx.begin(
-            "device_service", cat="device",
-            component=f"{self.name}/{self.device.name}",
-            op=op, size=size,
-        )
         try:
             elapsed = self.device.service_time(op, offset, size, self._rng)
             if not sim.advance(elapsed):
                 yield sim.timeout(elapsed)
         finally:
-            ctx.end(dev_span)
+            if dev_span is not None:
+                ctx.end(dev_span)
             self.queue.release(grant)
         self.busy_log.record(start, sim.now, op)
         if stream is not None:

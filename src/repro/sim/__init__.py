@@ -19,7 +19,7 @@ Public surface::
 from .core import Simulator
 from .events import AllOf, Event, Timeout
 from .process import Process
-from .resources import PriorityResource, Store
+from .resources import PriorityResource
 from .rng import RandomStreams
 
 __all__ = [
@@ -29,6 +29,5 @@ __all__ = [
     "Process",
     "RandomStreams",
     "Simulator",
-    "Store",
     "Timeout",
 ]

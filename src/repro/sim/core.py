@@ -8,7 +8,7 @@ Engine layout (the hot path of every experiment in the repo):
   engine counts them in :attr:`Simulator.timed_entry_tuples` so
   allocation receipts stay honest).
 - Zero-delay events — the majority in a typical run: resource grants,
-  store hand-offs, completion notifications, process bootstraps — go
+  lock hand-offs, completion notifications, process bootstraps — go
   to a FIFO *run-queue* instead, costing O(1) to schedule and pop.
 - The two structures are merged by ``(time, seq)`` at pop time, so
   global event order is **identical** to a single heap: events

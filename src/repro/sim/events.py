@@ -161,12 +161,11 @@ class Event:
         :meth:`Process.kill <repro.sim.process.Process.kill>` calls this
         on the event the killed process waits on, before it throws the
         kill in.  Events that hand their waiter something it must give
-        back (a resource slot, a lock, a store item) override it: a
-        queued claim leaves its queue, and one that was handed over but
-        not yet delivered passes to the next waiter.  Plain events,
-        timeouts, processes and ``AllOf`` have nothing to withdraw;
-        an ``AllOf``'s children may be shared or already delivered to
-        it.
+        back (a resource slot, a lock) override it: a queued claim
+        leaves its queue, and one that was handed over but not yet
+        delivered passes to the next waiter.  Plain events, timeouts,
+        processes and ``AllOf`` have nothing to withdraw; an
+        ``AllOf``'s children may be shared or already delivered to it.
         """
 
     def _process(self) -> None:

@@ -79,8 +79,8 @@ class Process(Event):
 
         The event the process waits on is withdrawn first (see
         :meth:`Event._withdraw <repro.sim.events.Event._withdraw>`), so
-        a kill never leaves a resource slot, lock or store item
-        assigned to a dead process.
+        a kill never leaves a resource slot or a lock assigned to a
+        dead process.
         """
         if self.triggered:
             return

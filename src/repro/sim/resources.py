@@ -4,9 +4,6 @@
 priority queue — the exact construct §III.F of the paper needs: the
 Rebuilder issues *low-priority* reorganisation I/O so normal requests
 are served first.
-
-:class:`Store` is an unbounded FIFO message queue (used for mailboxes
-between MPI ranks and background helper threads).
 """
 
 from __future__ import annotations
@@ -187,64 +184,3 @@ class PriorityResource:
             f"{self._in_use}/{self.capacity} used, {len(self._waiters)} waiting>"
         )
 
-
-class Store:
-    """Unbounded FIFO store of items with blocking ``get``.
-
-    ``put`` never blocks.  ``get`` returns an event that fires with the
-    next item (in put order), waking getters in request order.
-    """
-
-    def __init__(self, sim: "Simulator", name: str = ""):
-        self.sim = sim
-        self.name = name
-        self._items: list[typing.Any] = []
-        self._getters: list[Event] = []
-
-    def put(self, item: typing.Any) -> None:
-        """Deposit an item, waking the oldest waiting getter if any."""
-        if self._getters:
-            self._getters.pop(0).succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event that fires with the next available item."""
-        event = _StoreGet(self)
-        if self._items:
-            event.succeed(self._items.pop(0))
-        else:
-            self._getters.append(event)
-        return event
-
-    def _unget(self, item: typing.Any) -> None:
-        """Take back an item a killed getter never received.
-
-        It is still the oldest item, so it goes to the oldest waiting
-        getter or to the front of the queue.
-        """
-        if self._getters:
-            self._getters.pop(0).succeed(item)
-        else:
-            self._items.insert(0, item)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
-class _StoreGet(Event):
-    """A pending :meth:`Store.get`; a killed getter gives up its place."""
-
-    __slots__ = ("store",)
-
-    def __init__(self, store: Store):
-        super().__init__(store.sim)
-        self.store = store
-
-    def _withdraw(self) -> None:
-        self._cb0 = None
-        if not self._triggered:
-            self.store._getters.remove(self)
-        elif not self._processed:
-            item, self._value = self._value, None
-            self.store._unget(item)

@@ -19,7 +19,6 @@ from .ior import IORWorkload
 from .synthetic import SyntheticMixWorkload
 from .tileio import TileIOWorkload
 from .trace import TraceWorkload, export_trace, parse_trace
-from .zipf import ZipfWorkload
 
 __all__ = [
     "HPIOWorkload",
@@ -28,7 +27,6 @@ __all__ = [
     "TileIOWorkload",
     "TraceWorkload",
     "Workload",
-    "ZipfWorkload",
     "export_trace",
     "parse_trace",
 ]

@@ -212,6 +212,5 @@ def test_request_path_flows_are_processes():
         "repro.pfs.client.PFSClient._sub_flow",
         "repro.pfs.server.FileServer.serve",
         "repro.pfs.server.FileServer._device_op",
-        "repro.core.middleware.S4DCacheMiddleware._step_flow",
     ):
         assert project.functions[qualname].is_process, qualname

@@ -1,7 +1,16 @@
-"""Tracer/TraceContext unit tests: nesting, no-op path, profiling."""
+"""Tracer/TraceContext tests: nesting, the untraced path, profiling,
+and the span tree of a traced S4D run."""
 
-from repro.obs import NULL_CONTEXT, NULL_TRACER, Tracer
+import collections
+
+import pytest
+
+from repro.cluster import ClusterSpec, build_cluster, run_workload
+from repro.mpiio import MPIFile
+from repro.obs import Span, TraceContext, Tracer
 from repro.sim import Simulator
+from repro.units import KiB, MiB
+from repro.workloads import IORWorkload
 
 
 def _traced_request(sim, tracer):
@@ -80,16 +89,78 @@ def test_events_are_instants_with_parent():
     assert instant.attrs["size"] == 42
 
 
-def test_null_tracer_records_nothing():
-    ctx = NULL_TRACER.request(0, "read", "/f", 0, 1)
-    assert ctx is NULL_CONTEXT
-    assert not ctx
-    assert ctx.begin("x", cat="c", component="app") is None
-    ctx.end(None)
-    ctx.event("x", cat="c", component="app")
-    assert ctx.under(None) is NULL_CONTEXT
-    ctx.finish()
-    assert not NULL_TRACER.enabled
+def _rebuilder_scenario(tracer=None):
+    """An S4D run whose Rebuilder both flushes and fetches.
+
+    Three far-apart critical writes leave dirty extents, four critical
+    read misses leave pending fetches, and a drain moves both.
+    """
+    spec = ClusterSpec(num_dservers=4, num_cservers=2, num_nodes=4,
+                       seed=11, rebuild_interval=0.05,
+                       rebuild_budget=8 * MiB)
+    cluster = build_cluster(spec, s4d=True, cache_capacity=4 * MiB)
+    if tracer is not None:
+        tracer.bind(cluster)
+    mw = cluster.middleware
+
+    def body():
+        f = yield from MPIFile.open(mw, 0, "/data", 64 * MiB)
+        for offset in (0, 8 * MiB, 24 * MiB):
+            yield from f.write_at(offset, 16 * KiB)
+        for i in range(4):
+            yield from f.read_at(40 * MiB + i * 4 * MiB, 16 * KiB)
+        yield from mw.rebuilder.drain()
+        yield from f.close()
+
+    cluster.sim.run_process(body())
+    assert mw.metrics.flushes > 0 and mw.metrics.fetches > 0
+    return cluster
+
+
+def test_untraced_runs_build_no_context_and_no_span(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an untraced run built a trace object")
+
+    monkeypatch.setattr(TraceContext, "__init__", refuse)
+    monkeypatch.setattr(Span, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        Tracer(Simulator(seed=1)).request(0, "read", "/f", 0, 1)
+
+    spec = ClusterSpec(num_dservers=2, num_cservers=1, num_nodes=2, seed=13)
+    workload = IORWorkload(2, 16 * KiB, 4 * MiB, pattern="random", seed=13,
+                           requests_per_rank=8)
+    stock = run_workload(spec, workload, s4d=False, read_runs=1)
+    assert stock.phases["read1"].bytes_moved > 0
+    _rebuilder_scenario()
+
+
+def test_traced_s4d_spans_name_the_file_system():
+    """Each S4D segment is one ``pfs_io:<fs>`` span carrying its file
+    system and size, directly under the request's ``execute`` span or
+    under a Rebuilder movement's root."""
+    tracer = Tracer()
+    _rebuilder_scenario(tracer)
+    spans = tracer.by_id()
+    assert not [s for s in tracer.spans if s.name.startswith("segment:")]
+    pfs_io = [s for s in tracer.spans if s.name.startswith("pfs_io")]
+    parents = set()
+    executed = collections.Counter()  # segment bytes per execute span
+    for span in pfs_io:
+        assert span.name == "pfs_io:" + span.attrs["fs"]
+        assert span.attrs["fs"] in ("opfs", "cpfs")
+        parent = spans[span.parent_id]
+        parents.add(parent.name)
+        if span.tid == -1:  # a Rebuilder movement
+            assert parent.parent_id is None
+            assert parent.name in ("rebuild_flush", "lazy_fetch")
+            assert span.attrs["size"] == parent.attrs["size"]
+        else:
+            assert parent.name == "execute"
+            executed[parent.span_id] += span.attrs["size"]
+    assert parents == {"execute", "rebuild_flush", "lazy_fetch"}
+    for execute, size in executed.items():
+        assert size == spans[spans[execute].parent_id].attrs["size"]
+    assert {s.attrs["fs"] for s in pfs_io} == {"opfs", "cpfs"}
 
 
 def test_self_profiling_counts_records():

@@ -1,11 +1,11 @@
-"""Unit tests for PriorityResource and Store."""
+"""Unit tests for PriorityResource."""
 
 import gc
 
 import pytest
 
 from repro.errors import ProcessKilled, SimulationError
-from repro.sim import PriorityResource, Simulator, Store
+from repro.sim import PriorityResource, Simulator
 from repro.sim.resources import PRIORITY_LOW, PRIORITY_NORMAL
 
 from ..gcutil import collector, cyclic_garbage
@@ -178,56 +178,6 @@ def test_grants_released_past_a_full_pool_leave_no_cycles():
     assert sim.now == 2.0
 
 
-def test_store_fifo_order():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def producer():
-        for i in range(3):
-            yield sim.timeout(1.0)
-            store.put(i)
-
-    def consumer():
-        for _ in range(3):
-            item = yield store.get()
-            got.append((sim.now, item))
-
-    def parent():
-        yield sim.all_of([sim.spawn(producer()), sim.spawn(consumer())])
-
-    sim.run_process(parent())
-    assert got == [(1.0, 0), (2.0, 1), (3.0, 2)]
-
-
-def test_store_get_before_put_blocks():
-    sim = Simulator()
-    store = Store(sim)
-
-    def consumer():
-        item = yield store.get()
-        return (sim.now, item)
-
-    def producer():
-        yield sim.timeout(5.0)
-        store.put("x")
-
-    def parent():
-        c = sim.spawn(consumer())
-        sim.spawn(producer())
-        return (yield c)
-
-    assert sim.run_process(parent()) == (5.0, "x")
-
-
-def test_store_buffered_items_have_len():
-    sim = Simulator()
-    store = Store(sim)
-    store.put(1)
-    store.put(2)
-    assert len(store) == 2
-
-
 # -- kills withdraw the wait ----------------------------------------------
 def _kill_and_join(sim, victim, at):
     """A process that kills ``victim`` at time ``at`` and joins it."""
@@ -296,49 +246,3 @@ def test_killed_before_delivery_passes_the_grant_on():
     assert served == [("holder", 0.0), ("third", 1.0)]
     assert (res.in_use, res.queue_length) == (0, 0)
 
-
-def test_killed_store_getter_does_not_swallow_a_put():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def getter(start):
-        yield sim.timeout(start)
-        got.append((sim.now, (yield store.get())))
-
-    doomed = sim.spawn(getter(0.0))
-    sim.spawn(getter(2.0))
-
-    def killer():
-        yield from _kill_and_join(sim, doomed, 0.5)
-        yield sim.timeout(0.5)
-        store.put("x")
-
-    sim.spawn(killer())
-    sim.run()
-    assert got == [(2.0, "x")]
-
-
-def test_killed_store_getter_returns_an_undelivered_item():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def getter():
-        got.append((yield store.get()))
-
-    doomed = sim.spawn(getter())
-
-    def producer():
-        yield sim.timeout(1.0)
-        store.put("first")
-        doomed.kill()  # "first" was handed over but not delivered
-        store.put("second")
-        with pytest.raises(ProcessKilled):
-            yield doomed
-        got.append((yield store.get()))
-        got.append((yield store.get()))
-
-    sim.spawn(producer())
-    sim.run()
-    assert got == ["first", "second"]
